@@ -22,7 +22,6 @@ from .sklp_projection import (
     SklpConfig,
     SklpState,
     ProjectionModel,
-    ScatterAssembly,
     init_state,
     kernel_averages,
     alpha_weights,
@@ -75,7 +74,6 @@ __all__ = [
     "SklpConfig",
     "SklpState",
     "ProjectionModel",
-    "ScatterAssembly",
     "init_state",
     "kernel_averages",
     "alpha_weights",

@@ -321,8 +321,7 @@ class CrossValidationResult:
 
 def _embed_fold(train_X, train_y, test_X, class_count, pipeline: PipelineConfig):
     """Fit the named reduction on the training side; embed both sides."""
-    d = class_count - 1 if pipeline.target_dim == "auto" else int(pipeline.target_dim)
-    d = max(1, min(d, train_X.shape[0], train_X.shape[1] - 1))
+    d = sklp_projection.output_dim(pipeline.target_dim, class_count, *train_X.shape)
     if pipeline.reduction == "pca":
         model = baselines.pca_fit(train_X, d)
         return baselines.apply_model(model, train_X), baselines.apply_model(model, test_X)

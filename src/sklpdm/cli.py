@@ -182,22 +182,6 @@ def _sklp_config_from(args):
     )
 
 
-def _dataset_csv_text(dataset):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    header = ["label"] + [f"f{j}" for j in range(dataset.dim)]
-    if dataset.groups is not None:
-        header.append("group")
-    writer.writerow(header)
-    for i in range(dataset.sample_count):
-        row = [dataset.label_names[dataset.labels[i]]]
-        row += [format_float(v) for v in dataset.features[:, i]]
-        if dataset.groups is not None:
-            row.append(dataset.group_names[dataset.groups[i]])
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
 def _cmd_synth(args, started):
     if args.shape == "gaussian":
         data = gen_gaussian_classes(
@@ -248,27 +232,18 @@ def _cmd_radon(args, started):
     entries = _parse_frame_manifest(args)
     base = os.path.dirname(os.path.abspath(args.manifest))
     config = silhouette_features.RadonConfig(angle_bins=args.angles)
-    labels, groups, columns = [], [], []
-    has_groups = any(group is not None for _, _, group in entries)
-    for r, (raw_path, label, group) in enumerate(entries, start=1):
-        frame_path = raw_path
-        if not os.path.isabs(frame_path):
-            frame_path = os.path.join(base, frame_path)
-        try:
-            image = silhouette_features.load_pgm(frame_path)
-            columns.append(silhouette_features.r_transform(silhouette_features.radon(image, config)))
-        except (DataError, NumericalError) as exc:
-            raise type(exc)(f"frame {r} ({raw_path}): {exc}") from exc
-        labels.append(label)
-        if has_groups:
-            groups.append(group)
+    paths = [raw if os.path.isabs(raw) else os.path.join(base, raw) for raw, _, _ in entries]
+    features, _ = silhouette_features.sequence_features(paths, config)
+    labels = [label for _, label, _ in entries]
+    groups = [group for _, _, group in entries]
+    has_groups = any(group is not None for group in groups)
 
     label_ids, label_names = _dense_ids(labels)
     group_ids = group_names = None
     if has_groups:
         group_ids, group_names = _dense_ids(groups)
     data = LabeledDataset(
-        features=np.column_stack(columns),
+        features=features,
         labels=label_ids,
         class_count=len(label_names),
         label_names=label_names,
@@ -287,7 +262,7 @@ def _cmd_fit(args, started):
     elif args.kind == "pca":
         d = args.dim
         if d == "auto":
-            d = max(1, min(data.class_count - 1, data.dim, data.sample_count - 1))
+            d = sklp_projection.output_dim(d, data.class_count, data.dim, data.sample_count)
         model = baselines.pca_fit(data.features, d)
     else:
         d = args.dim
@@ -404,8 +379,8 @@ def _cmd_classify(args, started):
 def _cmd_evaluate(args, started):
     data = load_csv(args.data)
     sklp_cfg = _sklp_config_from(args)
-    d = data.class_count - 1 if args.dim == "auto" else int(args.dim)
-    dm_dim = args.dm_dim if args.dm_dim > 0 else max(1, d)
+    d = sklp_projection.output_dim(args.dim, data.class_count, data.dim, data.sample_count)
+    dm_dim = args.dm_dim if args.dm_dim > 0 else d
     pipeline = classify_eval.PipelineConfig(
         reduction=args.pipeline,
         classifier=args.classifier,

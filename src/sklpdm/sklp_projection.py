@@ -5,11 +5,14 @@ and pushes different-class samples apart, measured by Gaussian kernel
 similarities of the projected pairwise distances. Each iteration:
 
   1. summarise the current projected squared distances M into per-class and
-     inter-class kernel averages (m_c, m_o),
-  2. convert those averages into signed pair weights alpha (negative for
-     intra-class pairs, positive for inter-class pairs),
-  3. assemble the weighted pairwise scatter X L X^T and take its top
-     positive eigenvectors as the new projection,
+     inter-class kernel averages (m_c, m_o), all read off the class blocks
+     of one Y^T K Y product (Y the one-hot label matrix),
+  2. convert those averages into signed pair weights, constant on class
+     blocks: a K x K matrix W, negative on the diagonal (intra-class pairs)
+     and positive off it (inter-class pairs),
+  3. assemble the weighted pairwise scatter from class sums,
+     A = 2 (X diag((W c)[labels]) X^T - S W S^T), and take its top positive
+     eigenvectors as the new projection,
   4. relax M toward the new projected distances with learning rate eta,
   5. evaluate the objective J on the updated M.
 
@@ -135,27 +138,13 @@ class ProjectionModel:
         object.__setattr__(self, "mean", mean)
 
 
-@dataclass(frozen=True)
-class ScatterAssembly:
-    """Weighted pairwise scatter in both its factored and assembled forms.
-
-    A = X L X^T with L = E - Dm, E_ii = 2 * sum_j alpha_ij, Dm = 2 * alpha.
-    A equals the direct pairwise sum over ordered pairs of
-    alpha_ij * z_ij z_ij^T for symmetric alpha.
-    """
-
-    A: np.ndarray
-    E: np.ndarray
-    Dm: np.ndarray
-    L: np.ndarray
-
-
 @dataclass
 class SklpState:
     """Per-iteration state of the projection fit.
 
     M holds the current symmetric matrix of low-dimensional squared
-    distances; m_c / m_o / alpha reflect the latest kernel summaries.
+    distances; m_c / m_o / alpha reflect the latest kernel summaries, alpha
+    being the K x K class-block pair weights W of `alpha_weights`.
     objective_history[0] is the objective at initialization; entry t is the
     objective after iteration t. predicted_increments records, per
     iteration, the sum of the selected eigenvalues plus the constant
@@ -225,6 +214,33 @@ def pairwise_sq_distances(points):
     return np.einsum("dij,dij->ij", diff, diff)
 
 
+def output_dim(target_dim, class_count, dim, sample_count):
+    """Output dimension: K - 1 for "auto", else target_dim; capped at min(D, n-1), at least 1."""
+    d = class_count - 1 if target_dim == "auto" else int(target_dim)
+    return max(1, min(d, dim, sample_count - 1))
+
+
+def _one_hot(labels, class_count):
+    return (labels[:, None] == np.arange(class_count)[None, :]).astype(np.float64)
+
+
+def _kernel_sums(M, labels, class_count, sigma):
+    """Kernel sums over ordered pairs i != j, read off the class blocks of Y^T K Y.
+
+    Returns (intra, inter, n_k, n_o): intra[k] sums the pairs inside class
+    k, inter the pairs across classes; n_k and n_o count those pairs.
+    """
+    n_k, n_o = _pair_counts(labels, class_count)
+    if n_o == 0:
+        raise NumericalError("no inter-class pairs: need at least 2 classes")
+    kernels = np.exp(-M / (sigma * sigma))
+    np.fill_diagonal(kernels, 0.0)  # ordered pairs with i != j only
+    Y = _one_hot(labels, class_count)
+    blocks = Y.T @ kernels @ Y
+    inter = float(blocks[~np.eye(class_count, dtype=bool)].sum())
+    return np.diag(blocks), inter, n_k, n_o
+
+
 def kernel_averages(M, labels, config, *, sigma=None, class_count=None):
     """Per-class and inter-class kernel averages of the distance matrix M.
 
@@ -234,57 +250,51 @@ def kernel_averages(M, labels, config, *, sigma=None, class_count=None):
     """
     labels = np.asarray(labels)
     K = class_count if class_count is not None else int(labels.max()) + 1
-    sig = _resolve_sigma(config, sigma)
-    n_k, n_o = _pair_counts(labels, K)
-    if n_o == 0:
-        raise NumericalError("no inter-class pairs: need at least 2 classes")
-    kernels = np.exp(-M / (sig * sig))
-    np.fill_diagonal(kernels, 0.0)  # ordered pairs with i != j only
-    same = labels[:, None] == labels[None, :]
-    m_c = np.ones(K)
-    for k in range(K):
-        if n_k[k] == 0:
-            continue
-        members = labels == k
-        m_c[k] = math.exp(-(kernels[np.ix_(members, members)].sum() / n_k[k]))
-    m_o = math.exp(-(kernels[~same].sum() / n_o))
-    return m_c, m_o
+    intra, inter, n_k, n_o = _kernel_sums(M, labels, K, _resolve_sigma(config, sigma))
+    m_c = np.array([math.exp(-(s / c)) if c else 1.0 for s, c in zip(intra, n_k)])
+    return m_c, math.exp(-(inter / n_o))
 
 
 def alpha_weights(m_c, m_o, labels, config, *, class_weights=None):
-    """Signed pair weights: -(1-rho) * lambda_k / m_ck within class k, rho / m_o across."""
-    labels = np.asarray(labels)
+    """Class-block pair weights W (K x K): W_kk = -(1-rho) * lambda_k / m_ck, W_kl = rho / m_o.
+
+    The weight of the pair (i, j) is W[labels[i], labels[j]].
+    """
+    m_c = np.asarray(m_c, dtype=np.float64)
     K = len(m_c)
     weights = (
         np.asarray(class_weights, dtype=np.float64)
         if class_weights is not None
-        else _resolve_weights(config, labels, K)
+        else _resolve_weights(config, np.asarray(labels), K)
     )
-    intra = -(1.0 - config.rho) * weights[labels] / np.asarray(m_c)[labels]
-    alpha = np.where(labels[:, None] == labels[None, :], intra[:, None], config.rho / m_o)
-    np.fill_diagonal(alpha, 0.0)
-    return alpha
+    W = np.full((K, K), config.rho / m_o)
+    np.fill_diagonal(W, -(1.0 - config.rho) * weights / m_c)
+    return W
 
 
-def scatter_matrix(X, alpha) -> ScatterAssembly:
-    """Assemble A = X L X^T from symmetric pair weights alpha."""
+def scatter_matrix(X, labels, W):
+    """Pairwise scatter A = sum over ordered pairs i != j of W[l_i, l_j] z_ij z_ij^T, z_ij = x_i - x_j.
+
+    For symmetric W the Laplacian form reduces to class sums:
+    A = 2 (X diag((W c)[labels]) X^T - S W S^T), with S the D x K class sums
+    and c the class counts. X is centred first; A does not change under
+    translation, and centring keeps the two terms from cancelling.
+    """
     X = np.asarray(X, dtype=np.float64)
-    Dm = 2.0 * alpha
-    E = np.diag(Dm.sum(axis=1))
-    L = E - Dm
-    A = X @ L @ X.T
-    A = (A + A.T) / 2.0
-    return ScatterAssembly(A=A, E=E, Dm=Dm, L=L)
+    labels = np.asarray(labels)
+    X = X - X.mean(axis=1, keepdims=True)
+    Y = _one_hot(labels, len(W))
+    S = X @ Y
+    row_weights = (W @ Y.sum(axis=0))[labels]
+    A = 2.0 * ((X * row_weights) @ X.T - S @ W @ S.T)
+    return (A + A.T) / 2.0
 
 
 def _fix_signs(vectors):
     """Deterministic sign convention: largest-magnitude entry of each column positive."""
-    vectors = vectors.copy()
-    for j in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, j])))  # ties -> lowest index
-        if vectors[lead, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return vectors
+    lead = np.argmax(np.abs(vectors), axis=0)  # ties -> lowest index
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0
+    return np.where(flip, -vectors, vectors)
 
 
 def _sorted_eigh(A):
@@ -315,13 +325,13 @@ def top_eigendirections(A, d, *, positive_only, eig_floor=None):
     return values[:d], vectors[:, :d]
 
 
-def solve_eig(assembly: ScatterAssembly, d, *, config=None) -> ProjectionModel:
-    """Projection from the top positive eigenvectors of the assembled scatter."""
-    values, vectors = top_eigendirections(assembly.A, d, positive_only=True)
+def solve_eig(A, d, *, config=None) -> ProjectionModel:
+    """Projection from the top positive eigenvectors of the scatter A."""
+    values, vectors = top_eigendirections(A, d, positive_only=True)
     return ProjectionModel(
         matrix=vectors,
         kind="sklp",
-        dim_in=assembly.A.shape[0],
+        dim_in=A.shape[0],
         dim_out=vectors.shape[1],
         eigenvalues=values,
         config=config.echo() if config is not None else None,
@@ -329,39 +339,16 @@ def solve_eig(assembly: ScatterAssembly, d, *, config=None) -> ProjectionModel:
 
 
 def objective(M, labels, config, *, sigma=None, class_weights=None):
-    """J = (1-rho) sum_k lambda_k sum_intra kernel - rho sum_inter kernel.
-
-    Also re-verifies the log-mean identity
-    sum_intra kernel == -n_k * ln(m_ck) to 1e-10 relative.
-    """
+    """J = (1-rho) sum_k lambda_k sum_intra kernel - rho sum_inter kernel."""
     labels = np.asarray(labels)
     K = int(labels.max()) + 1
-    sig = _resolve_sigma(config, sigma)
     weights = (
         np.asarray(class_weights, dtype=np.float64)
         if class_weights is not None
         else _resolve_weights(config, labels, K)
     )
-    n_k, n_o = _pair_counts(labels, K)
-    if n_o == 0:
-        raise NumericalError("no inter-class pairs: need at least 2 classes")
-    kernels = np.exp(-M / (sig * sig))
-    np.fill_diagonal(kernels, 0.0)
-    same = labels[:, None] == labels[None, :]
-    total = 0.0
-    for k in range(K):
-        members = labels == k
-        intra_sum = kernels[np.ix_(members, members)].sum()
-        if n_k[k] > 0:
-            recon = -n_k[k] * math.log(math.exp(-(intra_sum / n_k[k])))
-            if abs(recon - intra_sum) > 1e-10 * (abs(intra_sum) + 1.0):
-                raise NumericalError("log-mean reparameterization identity violated")
-        total += (1.0 - config.rho) * weights[k] * intra_sum
-    inter_sum = kernels[~same].sum()
-    recon = -n_o * math.log(math.exp(-(inter_sum / n_o)))
-    if abs(recon - inter_sum) > 1e-10 * (abs(inter_sum) + 1.0):
-        raise NumericalError("log-mean reparameterization identity violated")
-    return total - config.rho * inter_sum
+    intra, inter, _, _ = _kernel_sums(M, labels, K, _resolve_sigma(config, sigma))
+    return (1.0 - config.rho) * float(weights @ intra) - config.rho * inter
 
 
 def update_distances(M, model: ProjectionModel, X, learning_rate):
@@ -389,8 +376,7 @@ def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
         raise DataError("need at least 2 samples")
     if K < 2:
         raise NumericalError("need at least 2 classes (K >= 2) to contrast pairs")
-    d = K - 1 if config.target_dim == "auto" else int(config.target_dim)
-    d = max(1, min(d, dataset.dim, n - 1))
+    d = output_dim(config.target_dim, K, dataset.dim, n)
     weights = _resolve_weights(config, dataset.labels, K)
 
     centered = X - X.mean(axis=1, keepdims=True)
@@ -447,8 +433,7 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
     X = dataset.features
     labels = dataset.labels
     K = dataset.class_count
-    d = K - 1 if config.target_dim == "auto" else int(config.target_dim)
-    d = max(1, min(d, dataset.dim, dataset.sample_count - 1))
+    d = output_dim(config.target_dim, K, dataset.dim, dataset.sample_count)
     n_k, n_o = _pair_counts(labels, K)
     increment_constant = float(
         (1.0 - config.rho) * np.sum(state.class_weights * n_k) - config.rho * n_o
@@ -462,8 +447,8 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
         state.alpha = alpha_weights(
             state.m_c, state.m_o, labels, config, class_weights=state.class_weights
         )
-        assembly = scatter_matrix(X, state.alpha)
-        step_model = solve_eig(assembly, d, config=config)
+        scatter = scatter_matrix(X, labels, state.alpha)
+        step_model = solve_eig(scatter, d, config=config)
         state.M = update_distances(state.M, step_model, X, config.learning_rate)
         current = objective(
             state.M, labels, config, sigma=state.sigma, class_weights=state.class_weights
@@ -477,7 +462,7 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
             state.best_index = t
             state.best_matrix = step_model.matrix
             state.best_eigenvalues = step_model.eigenvalues
-            state.best_scatter = assembly.A
+            state.best_scatter = scatter
         if abs(current - previous) <= config.rel_tolerance * (abs(previous) + 1.0):
             break
         previous = current

@@ -105,19 +105,20 @@ def test_criterion_1_algebraic_identities():
         inter = kernels[labels[:, None] != labels[None, :]].sum()
         assert abs(-n_o * math.log(m_o) - inter) <= 1e-10 * (abs(inter) + 1.0)
 
-        # factored scatter equals the direct ordered-pair sum at 1e-9 relative
-        alpha = alpha_weights(m_c, m_o, labels, config, class_weights=weights)
-        assembled = scatter_matrix(X, alpha).A
+        # class-sum scatter equals the direct ordered-pair sum at 1e-9 relative
+        W = alpha_weights(m_c, m_o, labels, config, class_weights=weights)
+        alpha = W[labels][:, labels]
+        assembled = scatter_matrix(X, labels, W)
         direct_sum = scatter_oracle(X, alpha)
         scale = np.linalg.norm(direct_sum) + 1e-30
         assert np.max(np.abs(assembled - direct_sum)) <= 1e-9 * scale
 
-        # sign pattern exact
+        # sign pattern exact; every inter-class pair carries the same weight
         same = labels[:, None] == labels[None, :]
         off = ~np.eye(len(labels), dtype=bool)
         assert np.all(alpha[same & off] < 0)
         assert np.all(alpha[~same] > 0)
-        assert np.all(np.diag(alpha) == 0)
+        assert np.all(W[~np.eye(K, dtype=bool)] == W[0, 1])
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     ok(1, f"200 instances, identities/signs verified in {elapsed:.1f}s")
@@ -158,12 +159,12 @@ def test_criterion_2_eigen_solution_contract(ring_sweep, blob_sweep):
             m_c, m_o = kernel_averages(
                 state.M, data.labels, config, sigma=state.sigma, class_count=3
             )
-            alpha = alpha_weights(m_c, m_o, data.labels, config, class_weights=state.class_weights)
-            assembly = scatter_matrix(data.features, alpha)
-            step = solve_eig(assembly, 2)
-            _eigen_contract(step.matrix, step.eigenvalues, assembly.A)
+            W = alpha_weights(m_c, m_o, data.labels, config, class_weights=state.class_weights)
+            A = scatter_matrix(data.features, data.labels, W)
+            step = solve_eig(A, 2)
+            _eigen_contract(step.matrix, step.eigenvalues, A)
             assert np.all(step.eigenvalues > 0)
-            _rayleigh_beats_random(step.matrix, assembly.A, rng)
+            _rayleigh_beats_random(step.matrix, A, rng)
             state.M = update_distances(state.M, step, data.features, config.learning_rate)
             fits += 1
 

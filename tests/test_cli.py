@@ -231,6 +231,22 @@ class TestEvaluate:
             texts.append(report.read_bytes() + matrix.read_bytes())
         assert texts[0] == texts[1]
 
+    def test_diffusion_dim_follows_capped_projection_dim(self, tmp_path):
+        data = tmp_path / "rings4.csv"
+        assert invoke(
+            "synth", "rings", "--classes", "3", "--per-class", "12", "--dim", "4",
+            "--noise", "0.2", "--seed", "2", "--groups", "3", "--out", str(data),
+        ) == 0
+        report = tmp_path / "r.txt"
+        assert invoke(
+            "evaluate", "--data", str(data), "--pipeline", "sklp+dm", "--dim", "12",
+            "--rho", "0.6", "--max-iters", "3",
+            "--report", str(report), "--confusion", str(tmp_path / "c.csv"),
+        ) == 0
+        line = report.read_text().splitlines()[-1]
+        echo = json.loads(line.removeprefix("configuration: "))
+        assert echo["diffusion"]["embed_dim"] == 4  # --dim 12 capped at the 4 features
+
 
 class TestRadonCommand:
     def test_manifest_to_feature_csv(self, tmp_path):
@@ -258,6 +274,21 @@ class TestRadonCommand:
         assert data.group_names == ("person0",)
         # translating rectangle: identical profiles
         assert np.max(np.abs(data.features - data.features[:, [0]])) <= 1e-12
+
+    def test_unreadable_frame_named_in_error(self, tmp_path, capsys):
+        pixels = np.zeros((6, 6), dtype=np.uint8)
+        pixels[2:4, 2:4] = 1
+        body = "\n".join(" ".join(str(v) for v in row) for row in pixels)
+        (tmp_path / "good.pgm").write_text(f"P2\n6 6\n255\n{body}\n")
+        (tmp_path / "broken.pgm").write_text("P2\n6 6\n255\n1 2 3\n")
+        manifest = tmp_path / "frames.csv"
+        manifest.write_text("path,label\ngood.pgm,walk\nbroken.pgm,walk\ngood.pgm,walk\n")
+        out = tmp_path / "features.csv"
+        assert invoke("radon", "--manifest", str(manifest), "--out", str(out)) == 2
+        message = capsys.readouterr().err
+        assert "frame 1 (" in message
+        assert str(tmp_path / "broken.pgm") in message
+        assert not out.exists()
 
     def test_missing_column_exits_2(self, tmp_path):
         manifest = tmp_path / "bad.csv"

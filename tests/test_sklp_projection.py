@@ -24,7 +24,6 @@ from sklpdm import (
 )
 from sklpdm.sklp_projection import (
     ProjectionModel,
-    ScatterAssembly,
     default_class_weights,
     pairwise_sq_distances,
 )
@@ -121,17 +120,18 @@ class TestAlphaWeights:
     def test_balanced_example(self):
         labels = np.array([0, 0, 1, 1])
         config = SklpConfig(rho=0.5, class_weights=(1.0, 1.0), kernel_bandwidth=1.0)
-        alpha = alpha_weights([math.exp(-1)] * 2, math.exp(-1), labels, config)
+        W = alpha_weights([math.exp(-1)] * 2, math.exp(-1), labels, config)
+        assert W.shape == (2, 2)
+        alpha = W[labels][:, labels]
         assert alpha[0, 1] == pytest.approx(-0.5 * math.e, rel=1e-12)
         assert alpha[0, 2] == pytest.approx(0.5 * math.e, rel=1e-12)
-        assert np.all(np.diag(alpha) == 0.0)
-        np.testing.assert_array_equal(alpha, alpha.T)
+        np.testing.assert_array_equal(W, W.T)
 
     def test_rho_one_drops_intra_weights(self):
         # the formula at rho = 1 (config range gate bypassed on purpose)
         labels = np.array([0, 0, 1])
         config = SimpleNamespace(rho=1.0, class_weights=(1.0, 1.0))
-        alpha = alpha_weights([0.5, 0.5], 0.5, labels, config)
+        alpha = alpha_weights([0.5, 0.5], 0.5, labels, config)[labels][:, labels]
         assert alpha[0, 1] == 0.0
         assert alpha[0, 2] == pytest.approx(2.0)
 
@@ -141,11 +141,11 @@ class TestAlphaWeights:
         labels[:3] = [0, 1, 2]
         m_c = rng.uniform(0.4, 0.9, 3)
         config = SklpConfig(rho=0.3, class_weights=(1.0, 2.0, 0.5), kernel_bandwidth=1.0)
-        alpha = alpha_weights(m_c, 0.7, labels, config)
+        alpha = alpha_weights(m_c, 0.7, labels, config)[labels][:, labels]
         for i in range(10):
             for j in range(10):
                 if i == j:
-                    assert alpha[i, j] == 0.0
+                    continue  # a pair of a sample with itself carries no scatter
                 elif labels[i] == labels[j]:
                     assert alpha[i, j] < 0
                 else:
@@ -153,18 +153,20 @@ class TestAlphaWeights:
 
 
 class TestScatterMatrix:
+    # an arbitrary n x n alpha is the class-block form with every sample its own class
+
     def test_zero_weights(self):
         X = np.random.default_rng(1).standard_normal((3, 5))
-        assembly = scatter_matrix(X, np.zeros((5, 5)))
-        assert np.max(np.abs(assembly.A)) == 0.0
+        A = scatter_matrix(X, np.arange(5), np.zeros((5, 5)))
+        assert np.max(np.abs(A)) == 0.0
 
     def test_two_point_hand_case(self):
         X = np.array([[1.0, 0.0], [0.0, 0.0]])
         c = 0.7
         alpha = np.array([[0.0, c], [c, 0.0]])
-        assembly = scatter_matrix(X, alpha)
+        A = scatter_matrix(X, np.arange(2), alpha)
         expected = 2 * c * np.array([[1.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_allclose(assembly.A, expected, atol=1e-12)
+        np.testing.assert_allclose(A, expected, atol=1e-12)
         np.testing.assert_allclose(scatter_oracle(X, alpha), expected, atol=1e-12)
 
     def test_random_instance_matches_pairwise_sum(self):
@@ -173,10 +175,11 @@ class TestScatterMatrix:
         raw = rng.standard_normal((6, 6))
         alpha = (raw + raw.T) / 2
         np.fill_diagonal(alpha, 0.0)
-        assembly = scatter_matrix(X, alpha)
-        oracle = scatter_oracle(X, alpha)
-        scale = np.linalg.norm(oracle)
-        assert np.max(np.abs(assembly.A - oracle)) <= 1e-9 * scale
+        for shifted in (X, X + 1e4):  # far from the origin the two class-sum terms nearly cancel
+            A = scatter_matrix(shifted, np.arange(6), alpha)
+            oracle = scatter_oracle(shifted, alpha)
+            scale = np.linalg.norm(oracle)
+            assert np.max(np.abs(A - oracle)) <= 1e-9 * scale
 
     def test_factored_forms(self):
         rng = np.random.default_rng(6)
@@ -184,51 +187,43 @@ class TestScatterMatrix:
         raw = rng.standard_normal((7, 7))
         alpha = (raw + raw.T) / 2
         np.fill_diagonal(alpha, 0.0)
-        assembly = scatter_matrix(X, alpha)
-        np.testing.assert_allclose(assembly.L, assembly.E - assembly.Dm, atol=1e-14)
-        np.testing.assert_allclose(
-            assembly.A, X @ assembly.L @ X.T, atol=1e-10 * (1 + np.linalg.norm(assembly.A))
-        )
+        A = scatter_matrix(X, np.arange(7), alpha)
+        L = 2.0 * (np.diag(alpha.sum(axis=1)) - alpha)
+        np.testing.assert_allclose(A, X @ L @ X.T, atol=1e-10 * (1 + np.linalg.norm(A)))
 
 
 class TestSolveEig:
     def test_diagonal_matrix(self):
-        assembly = ScatterAssembly(
-            A=np.diag([3.0, 1.0, 0.0, -2.0]), E=np.zeros((1, 1)), Dm=np.zeros((1, 1)), L=np.zeros((1, 1))
-        )
-        model = solve_eig(assembly, 2)
+        model = solve_eig(np.diag([3.0, 1.0, 0.0, -2.0]), 2)
         np.testing.assert_allclose(model.eigenvalues, [3.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(model.matrix, np.eye(4)[:, :2], atol=1e-12)
 
     def test_degenerate_spectrum_contract(self):
-        assembly = ScatterAssembly(A=np.eye(3), E=np.zeros(1), Dm=np.zeros(1), L=np.zeros(1))
-        model = solve_eig(assembly, 2)
+        A = np.eye(3)
+        model = solve_eig(A, 2)
         gram = model.matrix.T @ model.matrix
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
-        residual = assembly.A @ model.matrix - model.matrix * model.eigenvalues[None, :]
-        assert np.max(np.abs(residual)) <= 1e-8 * (np.linalg.norm(assembly.A, 2) + 1)
+        residual = A @ model.matrix - model.matrix * model.eigenvalues[None, :]
+        assert np.max(np.abs(residual)) <= 1e-8 * (np.linalg.norm(A, 2) + 1)
 
     def test_matches_jacobi_oracle(self):
         rng = np.random.default_rng(2)
         raw = rng.standard_normal((8, 8))
         A = (raw + raw.T) / 2 + np.eye(8)  # shift to guarantee positives
-        model = solve_eig(ScatterAssembly(A=A, E=None, Dm=None, L=None), 3)
+        model = solve_eig(A, 3)
         oracle_values, _ = jacobi_eigh(A)
         np.testing.assert_allclose(model.eigenvalues, oracle_values[:3], atol=1e-8)
 
     def test_no_positive_eigenvalues(self):
-        assembly = ScatterAssembly(A=-np.eye(3), E=None, Dm=None, L=None)
         with pytest.raises(NumericalError, match="positive"):
-            solve_eig(assembly, 2)
+            solve_eig(-np.eye(3), 2)
 
     def test_truncates_to_positive_count(self):
-        assembly = ScatterAssembly(A=np.diag([2.0, -1.0, -1.0]), E=None, Dm=None, L=None)
-        model = solve_eig(assembly, 3)
+        model = solve_eig(np.diag([2.0, -1.0, -1.0]), 3)
         assert model.dim_out == 1
 
     def test_sign_convention(self):
-        A = np.diag([5.0, 2.0])
-        model = solve_eig(ScatterAssembly(A=A, E=None, Dm=None, L=None), 2)
+        model = solve_eig(np.diag([5.0, 2.0]), 2)
         assert model.matrix[0, 0] > 0 and model.matrix[1, 1] > 0
 
 
@@ -337,13 +332,13 @@ class TestFit:
             m_c, m_o = kernel_averages(
                 state.M, data.labels, config, sigma=state.sigma, class_count=3
             )
-            alpha = alpha_weights(m_c, m_o, data.labels, config, class_weights=state.class_weights)
-            assembly = scatter_matrix(data.features, alpha)
-            step = solve_eig(assembly, d)
-            best = np.trace(step.matrix.T @ assembly.A @ step.matrix)
+            W = alpha_weights(m_c, m_o, data.labels, config, class_weights=state.class_weights)
+            A = scatter_matrix(data.features, data.labels, W)
+            step = solve_eig(A, d)
+            best = np.trace(step.matrix.T @ A @ step.matrix)
             for _ in range(25):
                 q, _ = np.linalg.qr(rng.standard_normal((5, step.dim_out)))
-                assert best >= np.trace(q.T @ assembly.A @ q) - 1e-9
+                assert best >= np.trace(q.T @ A @ q) - 1e-9
             state.M = update_distances(state.M, step, data.features, config.learning_rate)
 
     def test_single_iteration_contract(self):
