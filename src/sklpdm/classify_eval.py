@@ -116,8 +116,7 @@ def knn_predict(train, test, config: KnnConfig | None = None):
     if test_X.shape[0] != train_X.shape[0]:
         raise DataError("train and test dimensionality differ")
 
-    diff = test_X[:, :, None] - train_X[:, None, :]
-    sq = np.einsum("dij,dij->ij", diff, diff)
+    sq = sklp_projection.pairwise_sq_distances(test_X, train_X)
     order = np.argsort(sq, axis=1, kind="stable")  # distance ties -> lower train index
     predictions = np.empty(test_X.shape[1], dtype=np.int64)
     for i in range(test_X.shape[1]):

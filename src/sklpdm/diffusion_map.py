@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .sklp_projection import pairwise_sq_distances, _fix_signs
+from .sklp_projection import median_distance, pairwise_sq_distances, _fix_signs
 from ._util import atomic_write_text, format_float
 
 
@@ -75,8 +75,12 @@ def affinity(Xhat, bandwidth):
     """Gaussian affinities W_ij = exp(-||x_i - x_j||^2 / sigma^2); symmetric, unit diagonal."""
     if not float(bandwidth) > 0:
         raise DataError("bandwidth must be positive")
-    M = pairwise_sq_distances(np.asarray(Xhat, dtype=np.float64))
-    return np.exp(-M / (float(bandwidth) ** 2))
+    return _gaussian(pairwise_sq_distances(np.asarray(Xhat, dtype=np.float64)), bandwidth)
+
+
+def _gaussian(M, bandwidth):
+    """exp(-M / sigma^2), computed in place in the squared-distance matrix M."""
+    return np.exp(np.divide(M, -(float(bandwidth) ** 2), out=M), out=M)
 
 
 def transition(W):
@@ -90,15 +94,6 @@ def transition(W):
     return W / sums[:, None]
 
 
-def median_pairwise_distance(points):
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[1]
-    if n < 2:
-        raise DataError("need at least 2 points")
-    M = pairwise_sq_distances(points)
-    return float(np.median(np.sqrt(M[np.triu_indices(n, 1)])))
-
-
 def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
     """Fit the diffusion embedding on columns of Xhat."""
     X = np.asarray(Xhat, dtype=np.float64)
@@ -110,14 +105,15 @@ def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
         raise DataError(
             f"embed_dim {config.embed_dim} exceeds available eigenpairs for n={n}"
         )
+    M = pairwise_sq_distances(X)  # one matrix gives the median and the affinity
     if config.bandwidth == "auto":
-        sigma = median_pairwise_distance(X)
+        sigma = median_distance(M)
         if sigma <= 0:
             raise NumericalError("median pairwise distance is zero: bandwidth degenerate")
     else:
         sigma = float(config.bandwidth)
 
-    W = affinity(X, sigma)
+    W = _gaussian(M, sigma)
     row_sums = W.sum(axis=1)
     # symmetric conjugate of T = D^-1 W shares its (real) spectrum
     inv_root = 1.0 / np.sqrt(row_sums)
@@ -160,12 +156,7 @@ def extend(model: DiffusionModel, Xnew):
         raise DataError(
             f"expected {model.train_points.shape[0]} feature rows, got {Xnew.shape}"
         )
-    m = Xnew.shape[1]
-    if m == 0:
-        return np.zeros((0, model.embed_dim))
-    diff = Xnew[:, :, None] - model.train_points[:, None, :]
-    cross = np.einsum("dij,dij->ij", diff, diff)
-    weights = np.exp(-cross / (model.bandwidth**2))
+    weights = _gaussian(pairwise_sq_distances(Xnew, model.train_points), model.bandwidth)
     probs = weights / weights.sum(axis=1, keepdims=True)
     lam = model.eigenvalues[model.retained]
     coords = probs @ model.eigenvectors[:, model.retained]

@@ -209,5 +209,6 @@ def sequence_features(frame_paths, config: RadonConfig | None = None):
             image = load_pgm(frame_path)
             columns.append(r_transform(radon(image, config)))
         except (DataError, NumericalError) as exc:
-            raise type(exc)(f"frame {f} ({frame_path}): {exc}") from exc
+            reason = str(exc).removeprefix(f"{frame_path}: ")  # load_pgm names the path
+            raise type(exc)(f"frame {f} ({frame_path}): {reason}") from exc
     return np.column_stack(columns), len(columns)

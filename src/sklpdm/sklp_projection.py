@@ -208,10 +208,26 @@ def _resolve_sigma(config, sigma):
     return float(config.kernel_bandwidth)
 
 
-def pairwise_sq_distances(points):
-    """Exact symmetric matrix of squared Euclidean distances between columns."""
-    diff = points[:, :, None] - points[:, None, :]
-    return np.einsum("dij,dij->ij", diff, diff)
+def pairwise_sq_distances(points, others=None):
+    """Squared distances between columns, sum_d (points[d, i] - others[d, j])^2 in feature order.
+
+    Memory is the m x n output plus one m x n scratch buffer, never a D x m x n
+    tensor. others=None gives the self case: exactly symmetric, zero diagonal.
+    """
+    others = points if others is None else others
+    out = np.zeros((points.shape[1], others.shape[1]))
+    scratch = np.empty_like(out)
+    for a, b in zip(points, others, strict=True):
+        np.subtract(a[:, None], b[None, :], out=scratch)
+        out += np.multiply(scratch, scratch, out=scratch)
+    return out
+
+
+def median_distance(M):
+    """Median of sqrt(M_ij) over i < j: the median pairwise distance of a squared-distance matrix."""
+    if M.shape[0] < 2:
+        raise DataError("need at least 2 points")
+    return float(np.median(np.sqrt(M[np.triu_indices(M.shape[0], 1)])))
 
 
 def output_dim(target_dim, class_count, dim, sample_count):
@@ -250,9 +266,16 @@ def kernel_averages(M, labels, config, *, sigma=None, class_count=None):
     """
     labels = np.asarray(labels)
     K = class_count if class_count is not None else int(labels.max()) + 1
-    intra, inter, n_k, n_o = _kernel_sums(M, labels, K, _resolve_sigma(config, sigma))
+    return _averages(*_kernel_sums(M, labels, K, _resolve_sigma(config, sigma)))
+
+
+def _averages(intra, inter, n_k, n_o):
     m_c = np.array([math.exp(-(s / c)) if c else 1.0 for s, c in zip(intra, n_k)])
     return m_c, math.exp(-(inter / n_o))
+
+
+def _objective_value(intra, inter, rho, weights):
+    return (1.0 - rho) * float(weights @ intra) - rho * inter
 
 
 def alpha_weights(m_c, m_o, labels, config, *, class_weights=None):
@@ -348,7 +371,7 @@ def objective(M, labels, config, *, sigma=None, class_weights=None):
         else _resolve_weights(config, labels, K)
     )
     intra, inter, _, _ = _kernel_sums(M, labels, K, _resolve_sigma(config, sigma))
-    return (1.0 - config.rho) * float(weights @ intra) - config.rho * inter
+    return _objective_value(intra, inter, config.rho, weights)
 
 
 def update_distances(M, model: ProjectionModel, X, learning_rate):
@@ -359,7 +382,10 @@ def update_distances(M, model: ProjectionModel, X, learning_rate):
     target = pairwise_sq_distances(projected)
     if learning_rate == 1.0:
         return target  # full step is exact, no cancellation residue
-    return M + learning_rate * (target - M)
+    target -= M  # M + eta * (target - M), in place in the fresh target
+    target *= learning_rate
+    target += M
+    return target
 
 
 def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
@@ -392,8 +418,7 @@ def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
 
     M = pairwise_sq_distances(init_matrix.T @ X)
     if config.kernel_bandwidth == "auto":
-        upper = np.sqrt(M[np.triu_indices(n, 1)])
-        sigma = float(np.median(upper))
+        sigma = median_distance(M)
         if sigma <= 0:
             raise NumericalError("median pairwise distance is zero: bandwidth degenerate")
     else:
@@ -440,19 +465,19 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
     )
 
     previous = state.objective_history[0]
+    averages = state.m_c, state.m_o
     for t in range(1, config.max_iters + 1):
-        state.m_c, state.m_o = kernel_averages(
-            state.M, labels, config, sigma=state.sigma, class_count=K
-        )
+        state.m_c, state.m_o = averages
         state.alpha = alpha_weights(
             state.m_c, state.m_o, labels, config, class_weights=state.class_weights
         )
         scatter = scatter_matrix(X, labels, state.alpha)
         step_model = solve_eig(scatter, d, config=config)
         state.M = update_distances(state.M, step_model, X, config.learning_rate)
-        current = objective(
-            state.M, labels, config, sigma=state.sigma, class_weights=state.class_weights
-        )
+        # one exp(-M / sigma^2) gives this objective and the next iteration's averages
+        sums = _kernel_sums(state.M, labels, K, state.sigma)
+        current = _objective_value(sums[0], sums[1], config.rho, state.class_weights)
+        averages = _averages(*sums)
         state.objective_history.append(current)
         state.eigenvalue_history.append(step_model.eigenvalues)
         state.predicted_increments.append(float(step_model.eigenvalues.sum()) + increment_constant)

@@ -289,6 +289,8 @@ class TestRadonCommand:
         assert "frame 1 (" in message
         assert str(tmp_path / "broken.pgm") in message
         assert not out.exists()
+        assert message.count(str(tmp_path / "broken.pgm")) == 1
+        assert f"frame 1 ({tmp_path / 'broken.pgm'}): truncated P2 payload" in message
 
     def test_missing_column_exits_2(self, tmp_path):
         manifest = tmp_path / "bad.csv"

@@ -126,6 +126,11 @@ class TestFit:
         with pytest.raises(DataError, match="embed_dim"):
             diffusion_map.fit(X, DiffusionConfig(embed_dim=3))
 
+    def test_auto_bandwidth_needs_two_points(self):
+        X = np.ones((3, 1))
+        with pytest.raises(DataError, match="at least 2 points"):
+            diffusion_map.fit(X, DiffusionConfig(embed_dim=1, drop_trivial=False))
+
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(6)
         X = np.hstack(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,13 +7,17 @@ import pytest
 
 from sklpdm import (
     DataError,
+    DiffusionConfig,
+    KnnConfig,
     LabeledDataset,
     NumericalError,
     SklpConfig,
     alpha_weights,
     fit,
+    diffusion_map,
     gen_gaussian_classes,
     init_state,
+    knn_predict,
     kernel_averages,
     load_model,
     objective,
@@ -225,6 +230,70 @@ class TestSolveEig:
     def test_sign_convention(self):
         model = solve_eig(np.diag([5.0, 2.0]), 2)
         assert model.matrix[0, 0] > 0 and model.matrix[1, 1] > 0
+
+
+class TestPairwiseSqDistances:
+    @staticmethod
+    def broadcast_reference(points, others):
+        diff = points[:, :, None] - others[:, None, :]
+        return np.einsum("dij,dij->ij", diff, diff)
+
+    def test_bit_identical_to_broadcast_reference(self):
+        rng = np.random.default_rng(41)
+        shapes = [(1, 1, 1), (1, 5, 3), (3, 1, 9), (2, 7, 1), (3, 7, 11), (180, 24, 30)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 40, 3)) for _ in range(20)]
+        for D, m, n in shapes:
+            scale = 10.0 ** rng.uniform(-3, 3)
+            points = rng.standard_normal((D, m)) * scale
+            others = rng.standard_normal((D, n)) * scale + rng.uniform(-5, 5)
+            np.testing.assert_array_equal(
+                pairwise_sq_distances(points, others), self.broadcast_reference(points, others)
+            )
+            np.testing.assert_array_equal(
+                pairwise_sq_distances(points), self.broadcast_reference(points, points)
+            )
+            # the feature-order sum does not depend on memory layout
+            np.testing.assert_array_equal(
+                pairwise_sq_distances(np.asfortranarray(points), np.asfortranarray(others)),
+                pairwise_sq_distances(points, others),
+            )
+
+    def test_self_case_exactly_symmetric_with_zero_diagonal(self):
+        rng = np.random.default_rng(42)
+        for D, n in [(1, 1), (1, 6), (4, 25), (60, 40)]:
+            M = pairwise_sq_distances(rng.standard_normal((D, n)) * 1e3)
+            np.testing.assert_array_equal(M, M.T)
+            assert np.all(np.diag(M) == 0.0)
+
+    def test_feature_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            pairwise_sq_distances(np.zeros((3, 4)), np.zeros((2, 4)))
+
+    def test_memory_is_order_m_times_n(self):
+        """At D=180, m=240, n=300 one D x m x n tensor would be ~99 MB; m x n is 0.58 MB."""
+        rng = np.random.default_rng(43)
+        D, m, n = 180, 240, 300
+        train = rng.random((D, n))
+        test = rng.random((D, m))
+        train /= train.sum(axis=0)
+        test /= test.sum(axis=0)
+        labels = rng.integers(0, 4, n)
+        model = diffusion_map.fit(train, DiffusionConfig(embed_dim=3))
+        calls = {
+            "pairwise_sq_distances": (lambda: pairwise_sq_distances(test, train), 3),
+            "knn_predict": (lambda: knn_predict((train, labels), test, KnnConfig(k=3)), 4),
+            "extend": (lambda: diffusion_map.extend(model, test), 4),
+            "fit": (lambda: diffusion_map.fit(train, DiffusionConfig(embed_dim=3)), 10),
+        }
+        for name, (call, multiple) in calls.items():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < multiple * m * n * 8, f"{name} peaked at {peak / 1e6:.1f} MB"
 
 
 class TestObjective:
