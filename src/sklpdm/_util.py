@@ -1,7 +1,11 @@
-"""Small shared helpers (atomic file writes, float formatting)."""
+"""Small shared helpers (atomic file writes, float formatting, float-row CSV)."""
 
+import csv
+import io
 import os
 import tempfile
+
+from .errors import DataError
 
 
 def atomic_write_text(path, text):
@@ -23,3 +27,36 @@ def atomic_write_text(path, text):
 def format_float(value):
     """Shortest decimal string that round-trips the float64 exactly."""
     return repr(float(value))
+
+
+def save_float_rows_csv(path, header, rows, lead=None, tail=None):
+    """Atomically write a CSV file: `header`, then one line per row of the float matrix `rows`.
+
+    Floats are written as their shortest round-trip repr (`format_float`).
+    `lead` and `tail` are optional per-row text fields written before and
+    after the floats, quoted as `csv.writer` quotes them. Raises DataError
+    when the file cannot be written.
+    """
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(header)
+    quoted = {}
+
+    def field(text):
+        if text not in quoted:
+            cell = io.StringIO()
+            # two fields, because csv quotes a row made of one empty field
+            csv.writer(cell, lineterminator="\n").writerow([text, ""])
+            quoted[text] = cell.getvalue()[: -len(",\n")]
+        return quoted[text]
+
+    for i, row in enumerate(rows):
+        line = ",".join(map(repr, row.tolist()))
+        if lead is not None:
+            line = field(lead[i]) + "," + line
+        if tail is not None:
+            line += "," + field(tail[i])
+        buffer.write(line + "\n")
+    try:
+        atomic_write_text(path, buffer.getvalue())
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc

@@ -9,14 +9,13 @@ stored densely alongside their original names.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from ._util import atomic_write_text, format_float
+from ._util import save_float_rows_csv
 
 
 def _dense_ids(values):
@@ -139,29 +138,13 @@ def load_csv(path) -> LabeledDataset:
     label_col = header.index("label")
     group_col = header.index("group") if "group" in header else None
     feature_cols = [c for c in range(len(header)) if c != label_col and c != group_col]
-    if not rows[1:]:
+    body = rows[1:]
+    if not body:
         raise DataError(f"{path}: no data rows")
 
-    labels_raw = []
-    groups_raw = [] if group_col is not None else None
-    values = np.empty((len(rows) - 1, len(feature_cols)), dtype=np.float64)
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r}: expected {len(header)} fields, got {len(row)}")
-        labels_raw.append(row[label_col])
-        if groups_raw is not None:
-            groups_raw.append(row[group_col])
-        for j, c in enumerate(feature_cols):
-            cell = row[c]
-            try:
-                parsed = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {r}, column {header[c]}: non-numeric value {cell!r}"
-                ) from None
-            if not math.isfinite(parsed):
-                raise DataError(f"{path}: row {r}, column {header[c]}: non-finite value {cell!r}")
-            values[r - 1, j] = parsed
+    values = _parse_features(path, header, body, feature_cols)
+    labels_raw = [row[label_col] for row in body]
+    groups_raw = [row[group_col] for row in body] if group_col is not None else None
 
     labels, label_names = _dense_ids(labels_raw)
     groups = group_names = None
@@ -177,24 +160,47 @@ def load_csv(path) -> LabeledDataset:
     )
 
 
+def _parse_features(path, header, body, feature_cols):
+    """n x D float matrix of the feature cells of the data rows, parsed by float().
+
+    All cells are parsed in one pass; only when that fails is the file
+    walked row by row, which reports the first bad row and column.
+    """
+    if all(len(row) == len(header) for row in body):
+        cells = [row[c] for row in body for c in feature_cols]
+        try:
+            values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values.reshape(len(body), len(feature_cols))
+    values = np.empty((len(body), len(feature_cols)), dtype=np.float64)
+    for r, row in enumerate(body, start=1):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {r}: expected {len(header)} fields, got {len(row)}")
+        for j, c in enumerate(feature_cols):
+            cell = row[c]
+            try:
+                parsed = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {r}, column {header[c]}: non-numeric value {cell!r}"
+                ) from None
+            if not math.isfinite(parsed):
+                raise DataError(f"{path}: row {r}, column {header[c]}: non-finite value {cell!r}")
+            values[r - 1, j] = parsed
+    return values
+
+
 def save_csv(dataset: LabeledDataset, path) -> None:
     """Write a dataset as CSV (`label,f0..fN[,group]`), round-tripping features exactly."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
     header = ["label"] + [f"f{j}" for j in range(dataset.dim)]
+    groups = None
     if dataset.groups is not None:
         header.append("group")
-    writer.writerow(header)
-    for i in range(dataset.sample_count):
-        row = [dataset.label_names[dataset.labels[i]]]
-        row += [format_float(v) for v in dataset.features[:, i]]
-        if dataset.groups is not None:
-            row.append(dataset.group_names[dataset.groups[i]])
-        writer.writerow(row)
-    try:
-        atomic_write_text(path, buffer.getvalue())
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+        groups = [dataset.group_names[g] for g in dataset.groups]
+    labels = [dataset.label_names[y] for y in dataset.labels]
+    save_float_rows_csv(path, header, dataset.features.T, lead=labels, tail=groups)
 
 
 def gen_gaussian_classes(K, n_per_class, D, spread, separation, seed) -> LabeledDataset:

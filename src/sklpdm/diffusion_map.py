@@ -11,8 +11,6 @@ eigenvector, scaled by lambda_l^(t-1).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -20,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .sklp_projection import median_distance, pairwise_sq_distances, _fix_signs
-from ._util import atomic_write_text, format_float
+from ._util import atomic_write_text, save_float_rows_csv
 
 
 @dataclass(frozen=True)
@@ -117,14 +115,20 @@ def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
     row_sums = W.sum(axis=1)
     # symmetric conjugate of T = D^-1 W shares its (real) spectrum
     inv_root = 1.0 / np.sqrt(row_sums)
-    S = W * np.outer(inv_root, inv_root)
-    S = (S + S.T) / 2.0
+    S = np.outer(inv_root, inv_root)
+    S *= W
+    S = np.add(S, S.T, out=W)  # symmetrised in the affinity's buffer
+    S /= 2.0
+    del M, W  # other names of S's buffer: only S stays live through eigh
     values, vectors = np.linalg.eigh(S)
+    del S
     order = np.argsort(values)[::-1]
     values = values[order]
-    phi = inv_root[:, None] * vectors[:, order]  # right eigenvectors of T
+    phi = vectors[:, order]
+    del vectors
+    phi *= inv_root[:, None]  # right eigenvectors of T
     phi /= np.linalg.norm(phi, axis=0, keepdims=True)
-    phi = _fix_signs(phi)
+    _fix_signs(phi)
 
     start = 1 if config.drop_trivial else 0
     retained = np.arange(start, start + config.embed_dim)
@@ -156,8 +160,15 @@ def extend(model: DiffusionModel, Xnew):
         raise DataError(
             f"expected {model.train_points.shape[0]} feature rows, got {Xnew.shape}"
         )
-    weights = _gaussian(pairwise_sq_distances(Xnew, model.train_points), model.bandwidth)
-    probs = weights / weights.sum(axis=1, keepdims=True)
+    probs = _gaussian(pairwise_sq_distances(Xnew, model.train_points), model.bandwidth)
+    sums = probs.sum(axis=1, keepdims=True)
+    unreached = np.count_nonzero(sums == 0)
+    if unreached:
+        raise NumericalError(
+            f"{unreached} of {len(sums)} new columns have zero affinity to every training "
+            f"point at bandwidth {model.bandwidth!r}: they lie too far from the training data"
+        )
+    probs /= sums
     lam = model.eigenvalues[model.retained]
     coords = probs @ model.eigenvectors[:, model.retained]
     return coords * (lam ** (model.time - 1))[None, :]
@@ -166,19 +177,8 @@ def extend(model: DiffusionModel, Xnew):
 def save_embedding_csv(path, embedding, labels=None):
     """Embedding export: columns `label` (when provided) and c1..c_d."""
     embedding = np.asarray(embedding, dtype=np.float64)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    d = embedding.shape[1]
-    header = (["label"] if labels is not None else []) + [f"c{j + 1}" for j in range(d)]
-    writer.writerow(header)
-    for i in range(embedding.shape[0]):
-        row = [labels[i]] if labels is not None else []
-        row += [format_float(v) for v in embedding[i]]
-        writer.writerow(row)
-    try:
-        atomic_write_text(path, buffer.getvalue())
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    header = (["label"] if labels is not None else []) + [f"c{j + 1}" for j in range(embedding.shape[1])]
+    save_float_rows_csv(path, header, embedding, lead=labels)
 
 
 def save_model_json(model: DiffusionModel, path):

@@ -314,10 +314,11 @@ def scatter_matrix(X, labels, W):
 
 
 def _fix_signs(vectors):
-    """Deterministic sign convention: largest-magnitude entry of each column positive."""
+    """Deterministic sign convention, in place: largest-magnitude entry of each column positive."""
     lead = np.argmax(np.abs(vectors), axis=0)  # ties -> lowest index
     flip = vectors[lead, np.arange(vectors.shape[1])] < 0
-    return np.where(flip, -vectors, vectors)
+    np.negative(vectors, out=vectors, where=flip)
+    return vectors
 
 
 def _sorted_eigh(A):

@@ -5,6 +5,8 @@ naive algorithms (exhaustive scans, double summations, Jacobi rotations)
 so it shares no code path with the package under test.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -207,3 +209,17 @@ def transition_eig_oracle(T):
     values, vectors = np.linalg.eig(T)
     order = np.argsort(values.real)[::-1]
     return values.real[order], vectors.real[:, order]
+
+
+def csv_rows_oracle(header, rows, lead=None, tail=None):
+    """CSV text written field by field through csv.writer: per row the `lead`
+    field, each float as repr(float(v)), then the `tail` field."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for i, row in enumerate(rows):
+        fields = [lead[i]] if lead is not None else []
+        fields += [repr(float(v)) for v in row]
+        fields += [tail[i]] if tail is not None else []
+        writer.writerow(fields)
+    return buffer.getvalue()

@@ -14,7 +14,7 @@ from sklpdm import (
     with_groups,
 )
 
-from oracles import knn_oracle
+from oracles import csv_rows_oracle, knn_oracle
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -64,6 +64,37 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 1.*column f0"):
             load_csv(write(tmp_path, "label,f0\na,nan\n"))
 
+    def test_cells_parse_as_python_float(self, tmp_path):
+        cells = [" 1.5", "1_000", "+2", "-0", "1e3 ", ".5", "5e-324", "0x1p3"]
+        valid = []
+        for cell in cells:
+            try:
+                valid.append((cell, float(cell)))
+            except ValueError:
+                with pytest.raises(DataError, match=r"row 1, column f0: non-numeric"):
+                    load_csv(write(tmp_path, f"label,f0\na,{cell}\n"))
+        text = "label,f0,group\n" + "".join(f"a,{cell},g\n" for cell, _ in valid)
+        data = load_csv(write(tmp_path, text))
+        assert data.features[0].tolist() == [value for _, value in valid]
+        assert np.signbit(data.features[0, [c for c, _ in valid].index("-0")])
+
+    def test_first_bad_row_reported(self, tmp_path):
+        # a bad cell in row 2 comes before the ragged row 3 and the inf in row 4
+        text = "f0,label,f1\n1,a,2\n3,b,x\n5,c\n1,a,inf\n"
+        with pytest.raises(DataError, match=r"row 2, column f1: non-numeric value 'x'"):
+            load_csv(write(tmp_path, text))
+        text = "f0,label,f1\n1,a,2\n3,b\n1,a,inf\n"
+        with pytest.raises(DataError, match=r"row 2: expected 3 fields, got 2"):
+            load_csv(write(tmp_path, text))
+        text = "f0,label,f1\n1,a,2\n3,b,-inf\n1,a,x\n"
+        with pytest.raises(DataError, match=r"row 2, column f1: non-finite value '-inf'"):
+            load_csv(write(tmp_path, text))
+
+    def test_feature_columns_around_label_and_group(self, tmp_path):
+        data = load_csv(write(tmp_path, "f0,group,f1,label,f2\n1,g,2,a,3\n4,h,5,b,6\n"))
+        np.testing.assert_array_equal(data.features, [[1, 4], [2, 5], [3, 6]])
+        assert data.label_names == ("a", "b") and data.group_names == ("g", "h")
+
 
 class TestSaveCsv:
     def test_round_trip(self, tmp_path):
@@ -107,6 +138,30 @@ class TestSaveCsv:
         save_csv(data, out)
         again = load_csv(out)
         assert np.max(np.abs(again.features - data.features)) <= 1e-12
+
+    def test_bytes_match_field_by_field_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((5, 9)) * 10.0 ** rng.integers(-300, 300, (5, 9))
+        features[0, :3] = [-0.0, 5e-324, 0.1]
+        names = ('a,b', 'say "hi"', "")
+        group_names = ("v,1", 'q"', "line\nbreak")
+        ids = np.arange(9) % 3
+        header = ["label"] + [f"f{j}" for j in range(5)]
+        labels = [names[i] for i in ids]
+        out = tmp_path / "q.csv"
+        plain = LabeledDataset(features=features, labels=ids, class_count=3, label_names=names)
+        save_csv(plain, out)
+        assert out.read_bytes().decode() == csv_rows_oracle(header, features.T, labels)
+        grouped = LabeledDataset(
+            features=features, labels=ids, class_count=3, label_names=names,
+            groups=ids, group_names=group_names,
+        )
+        save_csv(grouped, out)
+        groups = [group_names[i] for i in ids]
+        assert out.read_bytes().decode() == csv_rows_oracle(header + ["group"], features.T, labels, groups)
+        again = load_csv(out)
+        np.testing.assert_array_equal(again.features, features)
+        assert again.label_names == names and again.group_names == group_names
 
     def test_unwritable_path(self, tmp_path):
         data = LabeledDataset(features=np.ones((1, 1)), labels=[0], class_count=1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from sklpdm import DataError, DiffusionConfig, NumericalError, affinity, transition
 from sklpdm import diffusion_map
 
-from oracles import transition_eig_oracle
+from oracles import csv_rows_oracle, transition_eig_oracle
 
 
 def ring_points(n, radius=1.0):
@@ -174,6 +175,20 @@ class TestExtend:
         out = diffusion_map.extend(model, np.zeros((2, 0)))
         assert out.shape == (0, 2)
 
+    def test_unreachable_columns_rejected(self):
+        # columns far from every unit-sum training profile get affinity exp(-huge) = 0
+        rng = np.random.default_rng(11)
+        train = rng.random((180, 40))
+        train /= train.sum(axis=0)
+        model = diffusion_map.fit(train, DiffusionConfig(embed_dim=2))
+        new = np.hstack([rng.random((180, 3)), train[:, [5]], rng.random((180, 2))])
+        message = rf"5 of 6 new columns have zero affinity .* bandwidth {re.escape(repr(model.bandwidth))}:"
+        with pytest.raises(NumericalError, match=message):
+            diffusion_map.extend(model, new)
+        np.testing.assert_array_equal(
+            diffusion_map.extend(model, train[:, [5]]), diffusion_map.extend(model, new[:, [3]])
+        )
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(9)
         model = diffusion_map.fit(rng.standard_normal((3, 6)), DiffusionConfig(embed_dim=2))
@@ -196,3 +211,15 @@ class TestEmbeddingCsv:
         path = tmp_path / "emb.csv"
         diffusion_map.save_embedding_csv(path, np.zeros((2, 3)))
         assert path.read_text().splitlines()[0] == "c1,c2,c3"
+
+    def test_bytes_match_field_by_field_writer(self, tmp_path):
+        rng = np.random.default_rng(12)
+        embedding = rng.standard_normal((6, 3)) * 10.0 ** rng.integers(-200, 200, (6, 3))
+        embedding[0] = [-0.0, 5e-324, 1e16]
+        labels = ['a,b', 'say "hi"', "", "plain", "cr\rlf", "a,b"]
+        header = ["label", "c1", "c2", "c3"]
+        path = tmp_path / "emb.csv"
+        diffusion_map.save_embedding_csv(path, embedding, labels)
+        assert path.read_bytes().decode() == csv_rows_oracle(header, embedding, labels)
+        diffusion_map.save_embedding_csv(path, embedding)
+        assert path.read_bytes().decode() == csv_rows_oracle(header[1:], embedding)

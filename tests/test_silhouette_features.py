@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from sklpdm import (
     DataError,
     NumericalError,
     RadonConfig,
+    RadonSinogram,
     SilhouetteImage,
     load_pgm,
     r_transform,
     radon,
     sequence_features,
 )
+from sklpdm.silhouette_features import _bin_table
 
 from oracles import radon_oracle, r_transform_oracle
 
@@ -130,6 +134,39 @@ class TestRadon:
             ours = radon(SilhouetteImage(pixels), RadonConfig(angle_bins=9)).T
             np.testing.assert_array_equal(ours, radon_oracle(pixels, 9))
 
+    @pytest.mark.parametrize("shape", [(9, 7), (9, 8), (10, 7), (12, 10), (1, 6), (5, 1)])
+    @pytest.mark.parametrize("angle_bins, displacement_bins", [(1, None), (7, None), (180, None), (6, 3), (9, 41)])
+    def test_bit_equal_to_scalar_oracle(self, shape, angle_bins, displacement_bins):
+        rng = np.random.default_rng([*shape, angle_bins, displacement_bins or 0])
+        config = RadonConfig(angle_bins=angle_bins, displacement_bins=displacement_bins)
+        for density in (0.05, 0.4, 1.0):
+            pixels = (rng.random(shape) < density).astype(np.uint8)
+            pixels[0, -1] = 1  # a corner pixel pins the centroid shift against the clamp
+            ours = radon(SilhouetteImage(pixels), config).T
+            assert ours.dtype == np.float64 and ours.flags.c_contiguous
+            np.testing.assert_array_equal(ours, radon_oracle(pixels, angle_bins, displacement_bins))
+
+    def test_returned_sinogram_is_private(self):
+        pixels = np.zeros((8, 6), dtype=np.uint8)
+        pixels[2:5, 1:4] = 1
+        config = RadonConfig(angle_bins=5)
+        first = radon(SilhouetteImage(pixels), config).T
+        expected = first.copy()
+        first[:] = -1.0
+        np.testing.assert_array_equal(radon(SilhouetteImage(pixels), config).T, expected)
+
+    def test_bin_table_cache_is_bounded_and_read_only(self):
+        limit = _bin_table.cache_info().maxsize
+        assert limit is not None
+        for H in range(3, 3 + limit + 3):
+            pixels = np.ones((H, 4), dtype=np.uint8)
+            radon(SilhouetteImage(pixels), RadonConfig(angle_bins=3))
+            assert _bin_table.cache_info().currsize <= limit
+        table = _bin_table(H, 4, 3, math.ceil(math.hypot(H, 4)) | 1)
+        assert table.shape == (H * 4, 3) and table.dtype == np.int32
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
 
 class TestRTransform:
     def test_single_pixel_uniform(self):
@@ -201,6 +238,19 @@ class TestSequenceFeatures:
         assert count == 5
         for f in range(1, 5):
             assert np.max(np.abs(matrix[:, f] - matrix[:, 0])) <= 1e-12
+
+    def test_two_frame_shapes(self, tmp_path):
+        rng = np.random.default_rng(6)
+        config = RadonConfig(angle_bins=8)
+        frames = [(rng.random(shape) < 0.3).astype(np.uint8) for shape in ((7, 8), (11, 12), (7, 8))]
+        for pixels in frames:
+            pixels[3, 4] = 1
+        paths = [write_p2(tmp_path / f"f{f}.pgm", pixels) for f, pixels in enumerate(frames)]
+        matrix, count = sequence_features(paths, config)
+        assert count == 3 and matrix.shape == (8, 3)
+        for f, pixels in enumerate(frames):
+            expected = r_transform(RadonSinogram(T=radon_oracle(pixels, 8)))
+            np.testing.assert_array_equal(matrix[:, f], expected)
 
     def test_error_names_frame_index(self, tmp_path):
         good = write_p2(tmp_path / "g.pgm", np.ones((3, 3), dtype=int))

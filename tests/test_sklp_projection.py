@@ -283,7 +283,7 @@ class TestPairwiseSqDistances:
             "pairwise_sq_distances": (lambda: pairwise_sq_distances(test, train), 3),
             "knn_predict": (lambda: knn_predict((train, labels), test, KnnConfig(k=3)), 4),
             "extend": (lambda: diffusion_map.extend(model, test), 4),
-            "fit": (lambda: diffusion_map.fit(train, DiffusionConfig(embed_dim=3)), 10),
+            "fit": (lambda: diffusion_map.fit(train, DiffusionConfig(embed_dim=3)), 4),
         }
         for name, (call, multiple) in calls.items():
             tracemalloc.start()
