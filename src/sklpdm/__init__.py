@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .dataset import (
     LabeledDataset,
-    SplitPlan,
     load_csv,
     save_csv,
     gen_gaussian_classes,
@@ -34,7 +33,7 @@ from .sklp_projection import (
     save_model,
     load_model,
 )
-from .baselines import pca_fit, lda_fit, apply_model
+from .baselines import pca_fit, lda_fit
 from .diffusion_map import DiffusionConfig, DiffusionModel, affinity, transition
 from .silhouette_features import (
     SilhouetteImage,
@@ -57,14 +56,12 @@ from .classify_eval import (
     svm_predict,
     video_majority_vote,
     confusion,
-    accuracy,
     cross_validate_actions,
 )
 from .errors import DataError, NumericalError
 
 __all__ = [
     "LabeledDataset",
-    "SplitPlan",
     "load_csv",
     "save_csv",
     "gen_gaussian_classes",
@@ -87,7 +84,6 @@ __all__ = [
     "load_model",
     "pca_fit",
     "lda_fit",
-    "apply_model",
     "DiffusionConfig",
     "DiffusionModel",
     "affinity",
@@ -110,7 +106,6 @@ __all__ = [
     "svm_predict",
     "video_majority_vote",
     "confusion",
-    "accuracy",
     "cross_validate_actions",
     "DataError",
     "NumericalError",

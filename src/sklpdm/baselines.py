@@ -6,7 +6,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import DataError, NumericalError
-from .sklp_projection import ProjectionModel, _sorted_eigh, top_eigendirections, project
+from .sklp_projection import ProjectionModel, _sorted_eigh, covariance, solve_eig
 
 
 def pca_fit(X, d) -> ProjectionModel:
@@ -24,13 +24,10 @@ def pca_fit(X, d) -> ProjectionModel:
         raise DataError("pca_fit needs at least 2 samples")
     if d < 1 or d > min(D, n - 1):
         raise DataError(f"d={d} too large: must satisfy 1 <= d <= min(D, n-1) = {min(D, n - 1)}")
-    mean = X.mean(axis=1)
-    centered = X - mean[:, None]
-    cov = centered @ centered.T / (n - 1)
-    cov = (cov + cov.T) / 2.0
-    values, vectors = _sorted_eigh(cov)
+    mean, cov = covariance(X)
+    values, vectors = _sorted_eigh(cov, d)
     return ProjectionModel(
-        matrix=vectors[:, :d],
+        matrix=vectors,
         kind="pca",
         dim_in=D,
         dim_out=d,
@@ -80,7 +77,7 @@ def lda_fit(dataset: LabeledDataset, d) -> ProjectionModel:
     whiten = g_vectors @ np.diag(1.0 / np.sqrt(g_values)) @ g_vectors.T
     discriminant = whiten @ S_b @ whiten
     discriminant = (discriminant + discriminant.T) / 2.0
-    values, vectors = top_eigendirections(discriminant, d, positive_only=True)
+    values, vectors = solve_eig(discriminant, d)
     return ProjectionModel(
         matrix=vectors,
         kind="lda",
@@ -89,8 +86,3 @@ def lda_fit(dataset: LabeledDataset, d) -> ProjectionModel:
         eigenvalues=values,
         config={"target_dim": d, "ridge": gamma},
     )
-
-
-def apply_model(model: ProjectionModel, X):
-    """Project columns of X through any fitted model (same contract as `project`)."""
-    return project(model, X)

@@ -95,11 +95,6 @@ class ConfusionMatrix:
         return out
 
 
-def accuracy(confusion_matrix: ConfusionMatrix):
-    """Overall accuracy: trace / total."""
-    return confusion_matrix.accuracy
-
-
 def knn_predict(train, test, config: KnnConfig | None = None):
     """Majority label among the k nearest training columns, per test column."""
     if config is None:
@@ -323,11 +318,11 @@ def _embed_fold(train_X, train_y, test_X, class_count, pipeline: PipelineConfig)
     d = sklp_projection.output_dim(pipeline.target_dim, class_count, *train_X.shape)
     if pipeline.reduction == "pca":
         model = baselines.pca_fit(train_X, d)
-        return baselines.apply_model(model, train_X), baselines.apply_model(model, test_X)
+        return sklp_projection.project(model, train_X), sklp_projection.project(model, test_X)
     if pipeline.reduction == "lda":
         fold_set = LabeledDataset(features=train_X, labels=train_y, class_count=class_count)
         model = baselines.lda_fit(fold_set, min(d, class_count - 1))
-        return baselines.apply_model(model, train_X), baselines.apply_model(model, test_X)
+        return sklp_projection.project(model, train_X), sklp_projection.project(model, test_X)
     if pipeline.reduction == "sklp+dm":
         fold_set = LabeledDataset(features=train_X, labels=train_y, class_count=class_count)
         sklp_cfg = pipeline.sklp
@@ -350,11 +345,10 @@ def cross_validate_actions(dataset: LabeledDataset, pipeline: PipelineConfig) ->
     """
     if dataset.groups is None:
         raise DataError("cross_validate_actions requires group ids")
-    plan = leave_one_group_out(dataset)
     K = dataset.class_count
     counts = np.zeros((K, K), dtype=np.int64)
     fold_accuracies = []
-    for train_idx, test_idx in plan.folds:
+    for train_idx, test_idx in leave_one_group_out(dataset):
         train_y = dataset.labels[train_idx]
         if len(np.unique(train_y)) != K:
             raise DataError("fold leaves a class with no training samples")

@@ -59,6 +59,17 @@ def _auto_or_int(text):
     return int(text)
 
 
+def _add_sklp_flags(command):
+    """The SKLP hyperparameter flags, defaulting to SklpConfig()'s fields."""
+    default = sklp_projection.SklpConfig()
+    command.add_argument("--dim", type=_auto_or_int, default=default.target_dim)
+    command.add_argument("--rho", type=float, default=default.rho)
+    command.add_argument("--eta", type=float, default=default.learning_rate)
+    command.add_argument("--sigma", type=_auto_or_float, default=default.kernel_bandwidth)
+    command.add_argument("--tol", type=float, default=default.rel_tolerance)
+    command.add_argument("--max-iters", type=int, default=default.max_iters)
+
+
 def _build_parser():
     parser = _Parser(prog="sklpdm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sklpdm {__version__}")
@@ -91,12 +102,7 @@ def _build_parser():
     fit_cmd = sub.add_parser("fit", help="fit a projection model")
     fit_cmd.add_argument("kind", choices=["sklp", "pca", "lda"])
     fit_cmd.add_argument("--data", required=True)
-    fit_cmd.add_argument("--dim", type=_auto_or_int, default="auto")
-    fit_cmd.add_argument("--rho", type=float, default=0.1)
-    fit_cmd.add_argument("--eta", type=float, default=0.1)
-    fit_cmd.add_argument("--sigma", type=_auto_or_float, default="auto")
-    fit_cmd.add_argument("--tol", type=float, default=1e-6)
-    fit_cmd.add_argument("--max-iters", type=int, default=100)
+    _add_sklp_flags(fit_cmd)
     fit_cmd.add_argument("--out", required=True)
 
     project_cmd = sub.add_parser("project", help="apply a fitted model to a dataset")
@@ -126,12 +132,7 @@ def _build_parser():
     evaluate.add_argument("--data", required=True)
     evaluate.add_argument("--pipeline", choices=list(classify_eval.PIPELINES), required=True)
     evaluate.add_argument("--classifier", choices=["knn", "svm"], default="knn")
-    evaluate.add_argument("--dim", type=_auto_or_int, default="auto")
-    evaluate.add_argument("--rho", type=float, default=0.1)
-    evaluate.add_argument("--eta", type=float, default=0.1)
-    evaluate.add_argument("--sigma", type=_auto_or_float, default="auto")
-    evaluate.add_argument("--tol", type=float, default=1e-6)
-    evaluate.add_argument("--max-iters", type=int, default=100)
+    _add_sklp_flags(evaluate)
     evaluate.add_argument("--dm-sigma", type=_auto_or_float, default="auto")
     evaluate.add_argument("--dm-dim", type=int, default=0, help="0 = match the projection dimension")
     evaluate.add_argument("--time", type=int, default=1)
@@ -144,12 +145,7 @@ def _build_parser():
 
     trace = sub.add_parser("trace", help="per-iteration objective trace of a projection fit")
     trace.add_argument("--data", required=True)
-    trace.add_argument("--dim", type=_auto_or_int, default="auto")
-    trace.add_argument("--rho", type=float, default=0.1)
-    trace.add_argument("--eta", type=float, default=0.1)
-    trace.add_argument("--sigma", type=_auto_or_float, default="auto")
-    trace.add_argument("--tol", type=float, default=1e-6)
-    trace.add_argument("--max-iters", type=int, default=100)
+    _add_sklp_flags(trace)
     trace.add_argument("--out", required=True)
     return parser
 
@@ -259,16 +255,11 @@ def _cmd_fit(args, started):
     data = load_csv(args.data)
     if args.kind == "sklp":
         model, _ = sklp_projection.fit(data, _sklp_config_from(args))
-    elif args.kind == "pca":
-        d = args.dim
-        if d == "auto":
-            d = sklp_projection.output_dim(d, data.class_count, data.dim, data.sample_count)
-        model = baselines.pca_fit(data.features, d)
     else:
         d = args.dim
         if d == "auto":
-            d = data.class_count - 1
-        model = baselines.lda_fit(data, d)
+            d = sklp_projection.output_dim(d, data.class_count, data.dim, data.sample_count)
+        model = baselines.pca_fit(data.features, d) if args.kind == "pca" else baselines.lda_fit(data, d)
     sklp_projection.save_model(model, args.out)
     _write_manifest(args.out, args, [args.data], [args.out], started)
     return 0
@@ -380,7 +371,7 @@ def _cmd_evaluate(args, started):
     data = load_csv(args.data)
     sklp_cfg = _sklp_config_from(args)
     d = sklp_projection.output_dim(args.dim, data.class_count, data.dim, data.sample_count)
-    dm_dim = args.dm_dim if args.dm_dim > 0 else d
+    dm_dim = args.dm_dim or d
     pipeline = classify_eval.PipelineConfig(
         reduction=args.pipeline,
         classifier=args.classifier,

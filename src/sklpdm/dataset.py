@@ -104,20 +104,6 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Cross-validation folds as (train indices, test indices) pairs."""
-
-    folds: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "folds",
-            tuple((np.asarray(tr, dtype=np.int64), np.asarray(te, dtype=np.int64)) for tr, te in self.folds),
-        )
-
-
 def load_csv(path) -> LabeledDataset:
     """Read a dataset from CSV: header row, a `label` column, optional `group`, numeric features.
 
@@ -260,20 +246,15 @@ def gen_ring_classes(K, n_per_class, noise, ambient_dim, seed) -> LabeledDataset
     return LabeledDataset(features=features, labels=labels, class_count=K)
 
 
-def leave_one_group_out(dataset: LabeledDataset) -> SplitPlan:
-    """One fold per distinct group id; that group is the test side."""
+def leave_one_group_out(dataset: LabeledDataset) -> tuple:
+    """One (train indices, test indices) fold per distinct group id; that group is the test side."""
     if dataset.groups is None:
         raise DataError("leave_one_group_out requires group ids")
     group_ids = np.unique(dataset.groups)
     if len(group_ids) < 2:
         raise DataError("leave_one_group_out requires at least 2 distinct groups")
-    indices = np.arange(dataset.sample_count)
-    folds = []
-    for g in group_ids:
-        test = indices[dataset.groups == g]
-        train = indices[dataset.groups != g]
-        folds.append((train, test))
-    return SplitPlan(folds=tuple(folds))
+    indices = np.arange(dataset.sample_count, dtype=np.int64)
+    return tuple((indices[dataset.groups != g], indices[dataset.groups == g]) for g in group_ids)
 
 
 def with_groups(dataset: LabeledDataset, group_count: int) -> LabeledDataset:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .sklp_projection import median_distance, pairwise_sq_distances, _fix_signs
+from .sklp_projection import bandwidth, pairwise_sq_distances, _fix_signs
 from ._util import atomic_write_text, save_float_rows_csv
 
 
@@ -104,13 +104,7 @@ def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
             f"embed_dim {config.embed_dim} exceeds available eigenpairs for n={n}"
         )
     M = pairwise_sq_distances(X)  # one matrix gives the median and the affinity
-    if config.bandwidth == "auto":
-        sigma = median_distance(M)
-        if sigma <= 0:
-            raise NumericalError("median pairwise distance is zero: bandwidth degenerate")
-    else:
-        sigma = float(config.bandwidth)
-
+    sigma = bandwidth(M, config.bandwidth)
     W = _gaussian(M, sigma)
     row_sums = W.sum(axis=1)
     # symmetric conjugate of T = D^-1 W shares its (real) spectrum

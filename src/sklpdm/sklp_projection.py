@@ -118,6 +118,14 @@ class ProjectionModel:
             raise DataError("matrix shape does not match dim_in x dim_out")
         if eigenvalues.shape != (self.dim_out,):
             raise DataError("eigenvalues length must equal dim_out")
+        mean = self.mean
+        if mean is not None:
+            mean = np.array(mean, dtype=np.float64)
+            if mean.shape != (self.dim_in,):
+                raise DataError("mean length must equal dim_in")
+            mean.flags.writeable = False
+        if not all(np.isfinite(a).all() for a in (matrix, eigenvalues, mean) if a is not None):
+            raise DataError("matrix, eigenvalues and mean must be finite")
         gram = matrix.T @ matrix
         if np.max(np.abs(gram - np.eye(self.dim_out))) > 1e-10:
             raise NumericalError("projection columns are not orthonormal")
@@ -125,12 +133,6 @@ class ProjectionModel:
             raise NumericalError("eigenvalues must be sorted descending")
         if self.kind == "sklp" and np.any(eigenvalues <= 0):
             raise NumericalError("sklp retains only positive eigenvalues")
-        mean = self.mean
-        if mean is not None:
-            mean = np.array(mean, dtype=np.float64)
-            if mean.shape != (self.dim_in,):
-                raise DataError("mean length must equal dim_in")
-            mean.flags.writeable = False
         matrix.flags.writeable = False
         eigenvalues.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
@@ -191,7 +193,10 @@ def default_class_weights(labels, class_count):
     return n_o / (class_count * np.maximum(n_k, 1))
 
 
-def _resolve_weights(config, labels, class_count):
+def _resolve_weights(config, labels, class_count, given=None):
+    """Class weights lambda_k: `given` when passed, else the config's, else the default."""
+    if given is not None:
+        return np.asarray(given, dtype=np.float64)
     if config.class_weights is not None:
         weights = np.asarray(config.class_weights, dtype=np.float64)
         if weights.shape != (class_count,):
@@ -223,11 +228,16 @@ def pairwise_sq_distances(points, others=None):
     return out
 
 
-def median_distance(M):
-    """Median of sqrt(M_ij) over i < j: the median pairwise distance of a squared-distance matrix."""
+def bandwidth(M, setting):
+    """Kernel sigma: `setting` itself, or for "auto" the median pairwise distance sqrt(M_ij), i < j."""
+    if setting != "auto":
+        return float(setting)
     if M.shape[0] < 2:
         raise DataError("need at least 2 points")
-    return float(np.median(np.sqrt(M[np.triu_indices(M.shape[0], 1)])))
+    sigma = float(np.median(np.sqrt(M[np.triu_indices(M.shape[0], 1)])))
+    if sigma <= 0:
+        raise NumericalError("median pairwise distance is zero: bandwidth degenerate")
+    return sigma
 
 
 def output_dim(target_dim, class_count, dim, sample_count):
@@ -285,11 +295,7 @@ def alpha_weights(m_c, m_o, labels, config, *, class_weights=None):
     """
     m_c = np.asarray(m_c, dtype=np.float64)
     K = len(m_c)
-    weights = (
-        np.asarray(class_weights, dtype=np.float64)
-        if class_weights is not None
-        else _resolve_weights(config, np.asarray(labels), K)
-    )
+    weights = _resolve_weights(config, np.asarray(labels), K, class_weights)
     W = np.full((K, K), config.rho / m_o)
     np.fill_diagonal(W, -(1.0 - config.rho) * weights / m_c)
     return W
@@ -321,65 +327,55 @@ def _fix_signs(vectors):
     return vectors
 
 
-def _sorted_eigh(A):
+def _sorted_eigh(A, d):
+    """All eigenvalues of the symmetric A, descending, and the top-d eigenvectors, signs fixed."""
     values, vectors = np.linalg.eigh(A)
     order = np.argsort(values)[::-1]
-    return values[order], _fix_signs(vectors[:, order])
+    return values[order], _fix_signs(vectors[:, order[:d]])
 
 
-def top_eigendirections(A, d, *, positive_only, eig_floor=None):
-    """Top-d eigenpairs of a symmetric matrix, optionally restricted to positive ones.
+def covariance(X):
+    """Column mean and sample covariance (1/(n-1) normalization, exactly symmetric) of X's columns."""
+    mean = X.mean(axis=1)
+    centered = X - mean[:, None]
+    cov = centered @ centered.T / (X.shape[1] - 1)
+    return mean, (cov + cov.T) / 2.0
 
-    With positive_only, d is further capped at the number of eigenvalues
-    above the floor 1e-10 * (||A|| + 1); zero positive eigenvalues is an
-    error (degenerate configuration).
+
+def solve_eig(A, d):
+    """Top-d positive eigenpairs (values, vectors) of the symmetric A, values descending.
+
+    d is capped at the number of eigenvalues above the floor
+    1e-10 * (||A|| + 1), ||A|| the largest eigenvalue magnitude; zero
+    positive eigenvalues is an error (degenerate configuration).
     """
-    values, vectors = _sorted_eigh(A)
-    if positive_only:
-        floor = eig_floor if eig_floor is not None else 1e-10 * (np.abs(values).max() + 1.0)
-        available = int((values > floor).sum())
-        if available == 0:
-            raise NumericalError(
-                "no positive eigenvalues: the weighted scatter is degenerate "
-                "(all directions decrease the objective)"
-            )
-        d = min(d, available)
-    if d < 1 or d > len(values):
-        raise DataError(f"cannot extract {d} eigenpairs from a {len(values)}-dim matrix")
+    if d < 1:
+        raise DataError(f"cannot extract {d} eigenpairs")
+    values, vectors = _sorted_eigh(A, d)
+    available = int((values > 1e-10 * (np.abs(values).max() + 1.0)).sum())
+    if available == 0:
+        raise NumericalError(
+            "no positive eigenvalues: the weighted scatter is degenerate "
+            "(all directions decrease the objective)"
+        )
+    d = min(d, available)
     return values[:d], vectors[:, :d]
-
-
-def solve_eig(A, d, *, config=None) -> ProjectionModel:
-    """Projection from the top positive eigenvectors of the scatter A."""
-    values, vectors = top_eigendirections(A, d, positive_only=True)
-    return ProjectionModel(
-        matrix=vectors,
-        kind="sklp",
-        dim_in=A.shape[0],
-        dim_out=vectors.shape[1],
-        eigenvalues=values,
-        config=config.echo() if config is not None else None,
-    )
 
 
 def objective(M, labels, config, *, sigma=None, class_weights=None):
     """J = (1-rho) sum_k lambda_k sum_intra kernel - rho sum_inter kernel."""
     labels = np.asarray(labels)
     K = int(labels.max()) + 1
-    weights = (
-        np.asarray(class_weights, dtype=np.float64)
-        if class_weights is not None
-        else _resolve_weights(config, labels, K)
-    )
+    weights = _resolve_weights(config, labels, K, class_weights)
     intra, inter, _, _ = _kernel_sums(M, labels, K, _resolve_sigma(config, sigma))
     return _objective_value(intra, inter, config.rho, weights)
 
 
-def update_distances(M, model: ProjectionModel, X, learning_rate):
-    """Relax M toward the projected squared distances: M + eta * (d_P - M)."""
+def update_distances(M, P, X, learning_rate):
+    """Relax M toward the squared distances of the projection P^T X: M + eta * (d_P - M)."""
     if not 0.0 < learning_rate <= 1.0:
         raise DataError("learning_rate must lie in (0, 1]")
-    projected = model.matrix.T @ np.asarray(X, dtype=np.float64)
+    projected = P.T @ np.asarray(X, dtype=np.float64)
     target = pairwise_sq_distances(projected)
     if learning_rate == 1.0:
         return target  # full step is exact, no cancellation residue
@@ -406,24 +402,13 @@ def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
     d = output_dim(config.target_dim, K, dataset.dim, n)
     weights = _resolve_weights(config, dataset.labels, K)
 
-    centered = X - X.mean(axis=1, keepdims=True)
-    cov = centered @ centered.T / (n - 1)
-    cov = (cov + cov.T) / 2.0
-    values, vectors = _sorted_eigh(cov)
-    positive = int((values > 1e-10 * (np.abs(values).max() + 1.0)).sum())
-    if positive == 0:
-        raise NumericalError("all samples identical: cannot scale initial distances")
-    d0 = min(d, positive)
-    init_matrix = vectors[:, :d0]
-    init_values = values[:d0]
+    try:
+        init_values, init_matrix = solve_eig(covariance(X)[1], d)
+    except NumericalError:
+        raise NumericalError("all samples identical: cannot scale initial distances") from None
 
     M = pairwise_sq_distances(init_matrix.T @ X)
-    if config.kernel_bandwidth == "auto":
-        sigma = median_distance(M)
-        if sigma <= 0:
-            raise NumericalError("median pairwise distance is zero: bandwidth degenerate")
-    else:
-        sigma = float(config.kernel_bandwidth)
+    sigma = bandwidth(M, config.kernel_bandwidth)
     m_c, m_o = kernel_averages(M, dataset.labels, config, sigma=sigma, class_count=K)
     alpha = alpha_weights(m_c, m_o, dataset.labels, config, class_weights=weights)
     J0 = objective(M, dataset.labels, config, sigma=sigma, class_weights=weights)
@@ -473,21 +458,21 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
             state.m_c, state.m_o, labels, config, class_weights=state.class_weights
         )
         scatter = scatter_matrix(X, labels, state.alpha)
-        step_model = solve_eig(scatter, d, config=config)
-        state.M = update_distances(state.M, step_model, X, config.learning_rate)
+        values, P = solve_eig(scatter, d)
+        state.M = update_distances(state.M, P, X, config.learning_rate)
         # one exp(-M / sigma^2) gives this objective and the next iteration's averages
         sums = _kernel_sums(state.M, labels, K, state.sigma)
         current = _objective_value(sums[0], sums[1], config.rho, state.class_weights)
         averages = _averages(*sums)
         state.objective_history.append(current)
-        state.eigenvalue_history.append(step_model.eigenvalues)
-        state.predicted_increments.append(float(step_model.eigenvalues.sum()) + increment_constant)
+        state.eigenvalue_history.append(values)
+        state.predicted_increments.append(float(values.sum()) + increment_constant)
         state.iteration = t
         if current > state.best_objective:
             state.best_objective = current
             state.best_index = t
-            state.best_matrix = step_model.matrix
-            state.best_eigenvalues = step_model.eigenvalues
+            state.best_matrix = P
+            state.best_eigenvalues = values
             state.best_scatter = scatter
         if abs(current - previous) <= config.rel_tolerance * (abs(previous) + 1.0):
             break
@@ -539,15 +524,22 @@ def load_model(path) -> ProjectionModel:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed model file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: malformed model file: expected a JSON object")
     for key in ("kind", "dim_in", "dim_out", "matrix", "eigenvalues"):
         if key not in payload:
             raise DataError(f"{path}: model file missing field {key!r}")
-    return ProjectionModel(
-        matrix=np.asarray(payload["matrix"], dtype=np.float64),
-        kind=payload["kind"],
-        dim_in=int(payload["dim_in"]),
-        dim_out=int(payload["dim_out"]),
-        eigenvalues=np.asarray(payload["eigenvalues"], dtype=np.float64),
-        mean=np.asarray(payload["mean"], dtype=np.float64) if payload.get("mean") else None,
-        config=payload.get("config"),
-    )
+    try:
+        return ProjectionModel(
+            matrix=np.asarray(payload["matrix"], dtype=np.float64),
+            kind=payload["kind"],
+            dim_in=int(payload["dim_in"]),
+            dim_out=int(payload["dim_out"]),
+            eigenvalues=np.asarray(payload["eigenvalues"], dtype=np.float64),
+            mean=np.asarray(payload["mean"], dtype=np.float64) if payload.get("mean") is not None else None,
+            config=payload.get("config"),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: malformed model file: {exc}") from exc
+    except (DataError, NumericalError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

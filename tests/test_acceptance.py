@@ -161,11 +161,11 @@ def test_criterion_2_eigen_solution_contract(ring_sweep, blob_sweep):
             )
             W = alpha_weights(m_c, m_o, data.labels, config, class_weights=state.class_weights)
             A = scatter_matrix(data.features, data.labels, W)
-            step = solve_eig(A, 2)
-            _eigen_contract(step.matrix, step.eigenvalues, A)
-            assert np.all(step.eigenvalues > 0)
-            _rayleigh_beats_random(step.matrix, A, rng)
-            state.M = update_distances(state.M, step, data.features, config.learning_rate)
+            values, P = solve_eig(A, 2)
+            _eigen_contract(P, values, A)
+            assert np.all(values > 0)
+            _rayleigh_beats_random(P, A, rng)
+            state.M = update_distances(state.M, P, data.features, config.learning_rate)
             fits += 1
 
         pca = pca_fit(data.features, 3)
@@ -297,7 +297,7 @@ def ring_sweep():
         # states for criterion 7, one full-data fit per seed fold pattern
         from sklpdm.dataset import leave_one_group_out
 
-        for train_idx, _ in leave_one_group_out(data).folds:
+        for train_idx, _ in leave_one_group_out(data):
             fold = LabeledDataset(
                 features=data.features[:, train_idx],
                 labels=data.labels[train_idx],
@@ -334,8 +334,8 @@ def blob_sweep():
         pca = pca_fit(train_set.features, d)
         truth = data.labels[~train]
         for tag, projector in (("sklp", model), ("pca", pca)):
-            train_proj = baselines.apply_model(projector, data.features[:, train])
-            test_proj = baselines.apply_model(projector, data.features[:, ~train])
+            train_proj = sklp_projection.project(projector, data.features[:, train])
+            test_proj = sklp_projection.project(projector, data.features[:, ~train])
             svm = svm_fit((train_proj, data.labels[train]), svm_cfg)
             predicted = svm_predict(svm, test_proj)
             results[tag].append(float((predicted == truth).mean()))

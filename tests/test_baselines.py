@@ -5,10 +5,10 @@ from sklpdm import (
     DataError,
     LabeledDataset,
     NumericalError,
-    apply_model,
     gen_gaussian_classes,
     lda_fit,
     pca_fit,
+    project,
 )
 
 from oracles import jacobi_eigh, knn_oracle
@@ -62,7 +62,7 @@ class TestPca:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((4, 10)) + 100.0
         model = pca_fit(X, 2)
-        projected = apply_model(model, model.mean[:, None])
+        projected = project(model, model.mean[:, None])
         np.testing.assert_allclose(projected, 0.0, atol=1e-10)
 
 
@@ -121,18 +121,18 @@ class TestLda:
             truth = data.labels[~train]
             lda_acc = (
                 knn_oracle(
-                    apply_model(lda, data.features[:, train]),
+                    project(lda, data.features[:, train]),
                     data.labels[train],
-                    apply_model(lda, data.features[:, ~train]),
+                    project(lda, data.features[:, ~train]),
                     1,
                 )
                 == truth
             ).mean()
             pca_acc = (
                 knn_oracle(
-                    apply_model(pca, data.features[:, train]),
+                    project(pca, data.features[:, train]),
                     data.labels[train],
-                    apply_model(pca, data.features[:, ~train]),
+                    project(pca, data.features[:, ~train]),
                     1,
                 )
                 == truth
@@ -153,7 +153,7 @@ class TestApplyModel:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((5, 12))
         model = pca_fit(X, 2)
-        projected = apply_model(model, X)
+        projected = project(model, X)
         assert projected.shape == (2, 12)
         centered = X - model.mean[:, None]
         np.testing.assert_allclose(projected, model.matrix.T @ centered, atol=1e-12)
@@ -161,10 +161,10 @@ class TestApplyModel:
     def test_zero_input_with_lda(self):
         data = gen_gaussian_classes(2, 10, 4, 1.0, 6.0, seed=7)
         model = lda_fit(data, 1)
-        assert np.max(np.abs(apply_model(model, np.zeros((4, 3))))) == 0.0
+        assert np.max(np.abs(project(model, np.zeros((4, 3))))) == 0.0
 
     def test_dimension_mismatch(self):
         data = gen_gaussian_classes(2, 10, 4, 1.0, 6.0, seed=8)
         model = lda_fit(data, 1)
         with pytest.raises(DataError):
-            apply_model(model, np.zeros((5, 2)))
+            project(model, np.zeros((5, 2)))

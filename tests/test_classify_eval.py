@@ -10,7 +10,6 @@ from sklpdm import (
     PipelineConfig,
     SklpConfig,
     SvmConfig,
-    accuracy,
     confusion,
     cross_validate_actions,
     gen_gaussian_classes,
@@ -174,19 +173,19 @@ class TestConfusion:
 
 class TestAccuracy:
     def test_diagonal(self):
-        assert accuracy(ConfusionMatrix(np.diag([3, 4]), ("a", "b"))) == 1.0
+        assert ConfusionMatrix(np.diag([3, 4]), ("a", "b")).accuracy == 1.0
 
     def test_off_diagonal_only(self):
         counts = np.array([[0, 2], [3, 0]])
-        assert accuracy(ConfusionMatrix(counts, ("a", "b"))) == 0.0
+        assert ConfusionMatrix(counts, ("a", "b")).accuracy == 0.0
 
     def test_arithmetic(self):
         counts = np.array([[3, 1], [0, 4]])
-        assert accuracy(ConfusionMatrix(counts, ("a", "b"))) == pytest.approx(7 / 8)
+        assert ConfusionMatrix(counts, ("a", "b")).accuracy == pytest.approx(7 / 8)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            accuracy(ConfusionMatrix(np.zeros((2, 2), dtype=int), ("a", "b")))
+            ConfusionMatrix(np.zeros((2, 2), dtype=int), ("a", "b")).accuracy
 
 
 class TestCrossValidate:

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from sklpdm import load_csv, load_model
-from sklpdm.cli import run
+from sklpdm import SklpConfig, load_csv, load_model
+from sklpdm.cli import _build_parser, run
 
 
 def invoke(*argv):
@@ -165,6 +165,20 @@ class TestProjectAndDiffuse:
         assert len(lines) >= 3
         assert lines[1].split(",")[0] == "0"
 
+    def test_project_with_non_finite_model_names_the_file(self, tmp_path, gaussian_csv, capsys):
+        model_path = tmp_path / "nan-model.json"
+        model_path.write_text(
+            '{"kind": "pca", "dim_in": 8, "dim_out": 1, "eigenvalues": [1.0], '
+            '"matrix": [[NaN], [0], [0], [0], [0], [0], [0], [0]]}'
+        )
+        code = invoke(
+            "project", "--model", str(model_path), "--data", str(gaussian_csv),
+            "--out", str(tmp_path / "p.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "nan-model.json" in err and "finite" in err
+
 
 class TestClassify:
     def test_knn_report(self, tmp_path):
@@ -246,6 +260,42 @@ class TestEvaluate:
         line = report.read_text().splitlines()[-1]
         echo = json.loads(line.removeprefix("configuration: "))
         assert echo["diffusion"]["embed_dim"] == 4  # --dim 12 capped at the 4 features
+
+    def test_negative_dm_dim_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "rings.csv"
+        assert invoke(
+            "synth", "rings", "--classes", "3", "--per-class", "12", "--dim", "4",
+            "--noise", "0.2", "--seed", "2", "--groups", "3", "--out", str(data),
+        ) == 0
+        code = invoke(
+            "evaluate", "--data", str(data), "--pipeline", "sklp+dm", "--rho", "0.6",
+            "--dm-dim", "-1", "--report", str(tmp_path / "r.txt"),
+            "--confusion", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+        assert "embed_dim" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+
+
+def test_sklp_flag_defaults_match_config():
+    default = SklpConfig()
+    expected = {
+        "dim": default.target_dim,
+        "rho": default.rho,
+        "eta": default.learning_rate,
+        "sigma": default.kernel_bandwidth,
+        "tol": default.rel_tolerance,
+        "max_iters": default.max_iters,
+    }
+    parser = _build_parser()
+    for argv in (
+        ["fit", "sklp", "--data", "d.csv", "--out", "m.json"],
+        ["evaluate", "--data", "d.csv", "--pipeline", "sklp+dm", "--report", "r.txt",
+         "--confusion", "c.csv"],
+        ["trace", "--data", "d.csv", "--out", "t.csv"],
+    ):
+        flags = vars(parser.parse_args(argv))
+        assert {key: flags[key] for key in expected} == expected, argv[0]
 
 
 class TestRadonCommand:

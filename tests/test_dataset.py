@@ -234,11 +234,11 @@ class TestLeaveOneGroupOut:
 
     def test_one_fold_per_group(self):
         data = self.make(np.arange(10))
-        assert len(leave_one_group_out(data).folds) == 10
+        assert len(leave_one_group_out(data)) == 10
 
     def test_two_groups_explicit(self):
         plan = leave_one_group_out(self.make([0, 0, 1]))
-        (train0, test0), (train1, test1) = plan.folds
+        (train0, test0), (train1, test1) = plan
         assert sorted(test0.tolist()) == [0, 1] and sorted(train0.tolist()) == [2]
         assert sorted(test1.tolist()) == [2] and sorted(train1.tolist()) == [0, 1]
 
@@ -259,7 +259,7 @@ class TestLeaveOneGroupOut:
         plan = leave_one_group_out(self.make(groups))
         everything = set(range(len(groups)))
         groups = np.asarray(groups)
-        for train, test in plan.folds:
+        for train, test in plan:
             assert set(train) | set(test) == everything
             assert set(train) & set(test) == set()
             assert set(groups[train]) & set(groups[test]) == set()
@@ -268,5 +268,5 @@ class TestLeaveOneGroupOut:
 def test_with_groups_covers_all_classes_per_fold():
     data = gen_gaussian_classes(3, 12, 4, 1.0, 5.0, seed=0)
     grouped = with_groups(data, 4)
-    for train, _test in leave_one_group_out(grouped).folds:
+    for train, _test in leave_one_group_out(grouped):
         assert len(np.unique(grouped.labels[train])) == 3

@@ -82,6 +82,11 @@ class TestInitState:
         with pytest.raises(NumericalError):
             init_state(data, SklpConfig())
 
+    def test_identical_samples_message(self):
+        data = dataset_from(np.full((3, 5), 0.1), [0, 0, 1, 1, 1])
+        with pytest.raises(NumericalError, match="all samples identical: cannot scale initial distances"):
+            init_state(data, SklpConfig(kernel_bandwidth=1.0))
+
     def test_auto_sigma_is_median_of_projected_distances(self):
         data = gen_gaussian_classes(3, 20, 5, 1.0, 4.0, seed=7)
         state = init_state(data, SklpConfig())
@@ -199,37 +204,37 @@ class TestScatterMatrix:
 
 class TestSolveEig:
     def test_diagonal_matrix(self):
-        model = solve_eig(np.diag([3.0, 1.0, 0.0, -2.0]), 2)
-        np.testing.assert_allclose(model.eigenvalues, [3.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(model.matrix, np.eye(4)[:, :2], atol=1e-12)
+        values, P = solve_eig(np.diag([3.0, 1.0, 0.0, -2.0]), 2)
+        np.testing.assert_allclose(values, [3.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(P, np.eye(4)[:, :2], atol=1e-12)
 
     def test_degenerate_spectrum_contract(self):
         A = np.eye(3)
-        model = solve_eig(A, 2)
-        gram = model.matrix.T @ model.matrix
+        values, P = solve_eig(A, 2)
+        gram = P.T @ P
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
-        residual = A @ model.matrix - model.matrix * model.eigenvalues[None, :]
+        residual = A @ P - P * values[None, :]
         assert np.max(np.abs(residual)) <= 1e-8 * (np.linalg.norm(A, 2) + 1)
 
     def test_matches_jacobi_oracle(self):
         rng = np.random.default_rng(2)
         raw = rng.standard_normal((8, 8))
         A = (raw + raw.T) / 2 + np.eye(8)  # shift to guarantee positives
-        model = solve_eig(A, 3)
+        values, _ = solve_eig(A, 3)
         oracle_values, _ = jacobi_eigh(A)
-        np.testing.assert_allclose(model.eigenvalues, oracle_values[:3], atol=1e-8)
+        np.testing.assert_allclose(values, oracle_values[:3], atol=1e-8)
 
     def test_no_positive_eigenvalues(self):
         with pytest.raises(NumericalError, match="positive"):
             solve_eig(-np.eye(3), 2)
 
     def test_truncates_to_positive_count(self):
-        model = solve_eig(np.diag([2.0, -1.0, -1.0]), 3)
-        assert model.dim_out == 1
+        values, P = solve_eig(np.diag([2.0, -1.0, -1.0]), 3)
+        assert len(values) == 1 and P.shape == (3, 1)
 
     def test_sign_convention(self):
-        model = solve_eig(np.diag([5.0, 2.0]), 2)
-        assert model.matrix[0, 0] > 0 and model.matrix[1, 1] > 0
+        _, P = solve_eig(np.diag([5.0, 2.0]), 2)
+        assert P[0, 0] > 0 and P[1, 1] > 0
 
 
 class TestPairwiseSqDistances:
@@ -337,7 +342,7 @@ class TestUpdateDistances:
         X = rng.standard_normal((4, 6))
         model = self.make_model(4, 2, rng)
         M = pairwise_sq_distances(X)
-        updated = update_distances(M, model, X, 1.0)
+        updated = update_distances(M, model.matrix, X, 1.0)
         np.testing.assert_array_equal(updated, pairwise_sq_distances(model.matrix.T @ X))
 
     def test_damped_step_arithmetic(self):
@@ -346,7 +351,7 @@ class TestUpdateDistances:
             matrix=np.array([[1.0]]), kind="pca", dim_in=1, dim_out=1, eigenvalues=np.array([1.0])
         )
         M = np.array([[0.0, 4.0], [4.0, 0.0]])
-        updated = update_distances(M, model, X, 0.1)
+        updated = update_distances(M, model.matrix, X, 0.1)
         assert updated[0, 1] == pytest.approx(3.8, abs=1e-12)
 
     def test_fixed_point(self):
@@ -354,7 +359,7 @@ class TestUpdateDistances:
         X = rng.standard_normal((3, 5))
         model = self.make_model(3, 2, rng)
         M = pairwise_sq_distances(model.matrix.T @ X)
-        np.testing.assert_array_equal(update_distances(M, model, X, 0.3), M)
+        np.testing.assert_array_equal(update_distances(M, model.matrix, X, 0.3), M)
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(10)
@@ -362,7 +367,7 @@ class TestUpdateDistances:
         model = self.make_model(5, 3, rng)
         M = pairwise_sq_distances(X) * rng.uniform(0.5, 2.0)
         target = pairwise_sq_distances(model.matrix.T @ X)
-        updated = update_distances(M, model, X, 0.4)
+        updated = update_distances(M, model.matrix, X, 0.4)
         low = np.minimum(M, target) - 1e-12
         high = np.maximum(M, target) + 1e-12
         assert np.all(updated >= low) and np.all(updated <= high)
@@ -403,12 +408,12 @@ class TestFit:
             )
             W = alpha_weights(m_c, m_o, data.labels, config, class_weights=state.class_weights)
             A = scatter_matrix(data.features, data.labels, W)
-            step = solve_eig(A, d)
-            best = np.trace(step.matrix.T @ A @ step.matrix)
+            _, P = solve_eig(A, d)
+            best = np.trace(P.T @ A @ P)
             for _ in range(25):
-                q, _ = np.linalg.qr(rng.standard_normal((5, step.dim_out)))
+                q, _ = np.linalg.qr(rng.standard_normal((5, P.shape[1])))
                 assert best >= np.trace(q.T @ A @ q) - 1e-9
-            state.M = update_distances(state.M, step, data.features, config.learning_rate)
+            state.M = update_distances(state.M, P, data.features, config.learning_rate)
 
     def test_single_iteration_contract(self):
         data = gen_gaussian_classes(3, 15, 6, 1.0, 8.0, seed=4)
@@ -534,6 +539,31 @@ class TestSerialization:
         path.write_text('{"kind": "sklp"}')
         with pytest.raises(DataError, match="missing field"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3",
+            '{"kind": "pca", "dim_in": "x", "dim_out": 1, "matrix": [[1.0], [0.0]], "eigenvalues": [1.0]}',
+            '{"kind": "pca", "dim_in": Infinity, "dim_out": 1, "matrix": [[1.0], [0.0]], "eigenvalues": [1.0]}',
+            '{"kind": "pca", "dim_in": 2, "dim_out": 1, "matrix": "abc", "eigenvalues": [1.0]}',
+            '{"kind": "pca", "dim_in": 2, "dim_out": 1, "matrix": [[NaN], [0.0]], "eigenvalues": [1.0]}',
+            '{"kind": "pca", "dim_in": 2, "dim_out": 1, "matrix": [[1.0], [0.0]], "eigenvalues": [1.0], "mean": 0}',
+        ],
+        ids=["not-an-object", "text-dim", "infinite-dim", "text-matrix", "nan-matrix", "scalar-mean"],
+    )
+    def test_malformed_file_named_in_error(self, tmp_path, text):
+        path = tmp_path / "bad-model.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="bad-model.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["matrix", "eigenvalues", "mean"])
+    def test_non_finite_entries_rejected(self, field):
+        parts = {"matrix": np.eye(2)[:, :1], "eigenvalues": np.array([1.0]), "mean": np.zeros(2)}
+        parts[field] = np.full_like(parts[field], np.nan)
+        with pytest.raises(DataError, match="finite"):
+            ProjectionModel(kind="pca", dim_in=2, dim_out=1, **parts)
 
     def test_mean_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
