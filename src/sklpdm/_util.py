@@ -1,4 +1,4 @@
-"""Small shared helpers (atomic file writes, float formatting, float-row CSV)."""
+"""Small shared helpers (atomic file writes, float formatting, float-row CSV, positive integer checks)."""
 
 import csv
 import io
@@ -60,3 +60,13 @@ def save_float_rows_csv(path, header, rows, lead=None, tail=None):
         atomic_write_text(path, buffer.getvalue())
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def positive_int(value, name):
+    """`value` as an int; DataError unless it is an integral number >= 1 (2 and 2.0 pass, 2.7 and "2" do not)."""
+    try:
+        if int(value) == value >= 1:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DataError(f"{name} must be a positive integer, got {value!r}")

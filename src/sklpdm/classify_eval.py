@@ -15,6 +15,7 @@ import numpy as np
 
 from .dataset import LabeledDataset, leave_one_group_out
 from .errors import DataError
+from ._util import positive_int
 from . import baselines
 from . import diffusion_map
 from . import sklp_projection
@@ -24,26 +25,20 @@ from .sklp_projection import SklpConfig
 @dataclass(frozen=True)
 class KnnConfig:
     k: int = 1
-    distance: str = "squared-euclidean"
 
     def __post_init__(self):
-        if int(self.k) < 1:
-            raise DataError("k must be >= 1")
-        if self.distance != "squared-euclidean":
-            raise DataError("only squared-euclidean distance is supported")
+        object.__setattr__(self, "k", positive_int(self.k, "k"))
 
 
 @dataclass(frozen=True)
 class SvmConfig:
     regularization: float = 1e-3
     epochs: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if not self.regularization > 0:
             raise DataError("regularization must be positive")
-        if int(self.epochs) < 1:
-            raise DataError("epochs must be >= 1")
+        object.__setattr__(self, "epochs", positive_int(self.epochs, "epochs"))
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,7 @@ class ConfusionMatrix:
 
 
 def knn_predict(train, test, config: KnnConfig | None = None):
-    """Majority label among the k nearest training columns, per test column."""
+    """Majority label among the k nearest training columns (squared Euclidean), per test column."""
     if config is None:
         config = KnnConfig()
     train_X, train_y = train
@@ -173,8 +168,7 @@ def svm_fit(train, config: SvmConfig | None = None) -> SvmModel:
     """One-vs-rest hinge-loss linear classifiers.
 
     Training is deterministic (zero initialization, batch subgradient with
-    backtracking); the seed is recorded for the config echo but no
-    randomness is consumed.
+    backtracking) and consumes no randomness.
     """
     if config is None:
         config = SvmConfig()
@@ -294,13 +288,11 @@ class PipelineConfig:
             "knn_k": self.knn.k,
             "svm_regularization": self.svm.regularization,
             "svm_epochs": self.svm.epochs,
-            "svm_seed": self.svm.seed,
             "sklp": self.sklp.echo(),
             "diffusion": {
                 "bandwidth": self.diffusion.bandwidth,
                 "embed_dim": self.diffusion.embed_dim,
                 "time": self.diffusion.time,
-                "drop_trivial": self.diffusion.drop_trivial,
             },
         }
 

@@ -70,6 +70,23 @@ def _add_sklp_flags(command):
     command.add_argument("--max-iters", type=int, default=default.max_iters)
 
 
+def _add_diffusion_flags(command, prefix="", dim_default=None, dim_help=None):
+    """The diffusion flags --{prefix}dim, --{prefix}sigma and --time, defaulting to DiffusionConfig()'s fields."""
+    default = diffusion_map.DiffusionConfig()
+    dim_default = default.embed_dim if dim_default is None else dim_default
+    command.add_argument(f"--{prefix}dim", type=int, default=dim_default, help=dim_help)
+    command.add_argument(f"--{prefix}sigma", type=_auto_or_float, default=default.bandwidth)
+    command.add_argument("--time", type=int, default=default.time)
+
+
+def _add_classifier_flags(command):
+    """The classifier flags --k, --reg and --epochs, defaulting to KnnConfig()'s and SvmConfig()'s fields."""
+    knn, svm = classify_eval.KnnConfig(), classify_eval.SvmConfig()
+    command.add_argument("--k", type=int, default=knn.k)
+    command.add_argument("--reg", type=float, default=svm.regularization)
+    command.add_argument("--epochs", type=int, default=svm.epochs)
+
+
 def _build_parser():
     parser = _Parser(prog="sklpdm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sklpdm {__version__}")
@@ -112,19 +129,14 @@ def _build_parser():
 
     diffuse = sub.add_parser("diffuse", help="diffusion embedding of a dataset")
     diffuse.add_argument("--data", required=True)
-    diffuse.add_argument("--dim", type=int, default=2)
-    diffuse.add_argument("--sigma", type=_auto_or_float, default="auto")
-    diffuse.add_argument("--time", type=int, default=1)
+    _add_diffusion_flags(diffuse)
     diffuse.add_argument("--out", required=True, help="embedding CSV; model JSON lands at <out>.model.json")
 
     classify = sub.add_parser("classify", help="train on one CSV, evaluate on another")
     classify.add_argument("method", choices=["knn", "svm"])
     classify.add_argument("--train", required=True)
     classify.add_argument("--test", required=True)
-    classify.add_argument("--k", type=int, default=1)
-    classify.add_argument("--reg", type=float, default=1e-3)
-    classify.add_argument("--epochs", type=int, default=200)
-    classify.add_argument("--seed", type=int, default=0)
+    _add_classifier_flags(classify)
     classify.add_argument("--vote-by-group", action="store_true")
     classify.add_argument("--report", required=True)
 
@@ -133,13 +145,8 @@ def _build_parser():
     evaluate.add_argument("--pipeline", choices=list(classify_eval.PIPELINES), required=True)
     evaluate.add_argument("--classifier", choices=["knn", "svm"], default="knn")
     _add_sklp_flags(evaluate)
-    evaluate.add_argument("--dm-sigma", type=_auto_or_float, default="auto")
-    evaluate.add_argument("--dm-dim", type=int, default=0, help="0 = match the projection dimension")
-    evaluate.add_argument("--time", type=int, default=1)
-    evaluate.add_argument("--k", type=int, default=1)
-    evaluate.add_argument("--reg", type=float, default=1e-3)
-    evaluate.add_argument("--epochs", type=int, default=200)
-    evaluate.add_argument("--seed", type=int, default=0)
+    _add_diffusion_flags(evaluate, "dm-", 0, "0 = match the projection dimension")
+    _add_classifier_flags(evaluate)
     evaluate.add_argument("--report", required=True)
     evaluate.add_argument("--confusion", required=True)
 
@@ -342,10 +349,10 @@ def _cmd_classify(args, started):
         predicted = classify_eval.knn_predict((train.features, train.labels), test.features, config)
         echo = {"method": "knn", "k": args.k}
     else:
-        config = classify_eval.SvmConfig(regularization=args.reg, epochs=args.epochs, seed=args.seed)
+        config = classify_eval.SvmConfig(regularization=args.reg, epochs=args.epochs)
         model = classify_eval.svm_fit((train.features, train.labels), config)
         predicted = classify_eval.svm_predict(model, test.features)
-        echo = {"method": "svm", "regularization": args.reg, "epochs": args.epochs, "seed": args.seed}
+        echo = {"method": "svm", "regularization": args.reg, "epochs": args.epochs}
     matrix = classify_eval.confusion(test_y, predicted, train.class_count, train.label_names)
     extra = []
     if args.vote_by_group:
@@ -377,7 +384,7 @@ def _cmd_evaluate(args, started):
         classifier=args.classifier,
         target_dim=args.dim,
         knn=classify_eval.KnnConfig(k=args.k),
-        svm=classify_eval.SvmConfig(regularization=args.reg, epochs=args.epochs, seed=args.seed),
+        svm=classify_eval.SvmConfig(regularization=args.reg, epochs=args.epochs),
         sklp=sklp_cfg,
         diffusion=diffusion_map.DiffusionConfig(
             bandwidth=args.dm_sigma, embed_dim=dm_dim, time=args.time

@@ -1,11 +1,13 @@
-"""Diffusion-map embedding: Markov transition eigendecomposition plus out-of-sample extension.
+"""Diffusion-map embedding: Markov transition eigenpairs plus out-of-sample extension.
 
 The affinity is a Gaussian kernel on pairwise squared distances; rows of
 the normalized transition matrix T are jumping probabilities. T is
 eigendecomposed through its symmetric conjugate D^(1/2) T D^(-1/2) for
-stability, and embedding coordinates are lambda_l^t * phi_l(i) over the
-retained eigenpairs. New points are embedded by the Nystrom rule: their
-normalized affinities to the training points averaged against each
+stability. Only the top embed_dim + 1 eigenpairs are kept: the trivial
+pair (lambda_0 = 1, constant eigenvector) and the embed_dim retained
+pairs. Embedding coordinates are lambda_l^t * phi_l(i) over the retained
+pairs. New points are embedded by the Nystrom rule: their normalized
+affinities to the training points averaged against each retained
 eigenvector, scaled by lambda_l^(t-1).
 """
 
@@ -17,50 +19,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .sklp_projection import bandwidth, pairwise_sq_distances, _fix_signs
-from ._util import atomic_write_text, save_float_rows_csv
+from .sklp_projection import bandwidth, pairwise_sq_distances, _fix_signs, _sorted_eigh
+from ._util import atomic_write_text, positive_int, save_float_rows_csv
 
 
 @dataclass(frozen=True)
 class DiffusionConfig:
     """bandwidth: kernel sigma > 0 or "auto" (median pairwise distance);
-    embed_dim: number of retained coordinates; time: diffusion steps;
-    drop_trivial: exclude the constant top eigenvector (default)."""
+    embed_dim: number of retained coordinates; time: diffusion steps."""
 
     bandwidth: float | str = "auto"
     embed_dim: int = 2
     time: int = 1
-    drop_trivial: bool = True
 
     def __post_init__(self):
         if self.bandwidth != "auto" and not float(self.bandwidth) > 0:
             raise DataError("bandwidth must be positive or 'auto'")
-        if int(self.embed_dim) < 1:
-            raise DataError("embed_dim must be >= 1")
-        if int(self.time) < 1:
-            raise DataError("time must be >= 1")
+        for name in ("embed_dim", "time"):
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
 class DiffusionModel:
     """Fitted diffusion embedding.
 
-    eigenvalues are the full transition spectrum, descending; eigenvectors
-    holds the right eigenvectors of T as unit-norm columns in the same
-    order. retained gives the column indices used for the embedding
-    (n x embed_dim, rows are embedded training points).
+    eigenvalues holds the top embed_dim + 1 transition eigenvalues,
+    descending: the trivial lambda_0 = 1, then the retained ones.
+    eigenvectors holds the matching right eigenvectors of T as unit-norm
+    columns, n x (embed_dim + 1); column 0 is constant. embedding is
+    n x embed_dim (rows are embedded training points). No n x n array is
+    kept.
     """
 
     train_points: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     embedding: np.ndarray
-    row_sums: np.ndarray
     bandwidth: float
     time: int
     embed_dim: int
-    drop_trivial: bool
-    retained: np.ndarray
 
     def __post_init__(self):
         if abs(self.eigenvalues[0] - 1.0) > 1e-8:
@@ -98,47 +95,34 @@ def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
     if X.ndim != 2:
         raise DataError("Xhat must be a 2-D matrix (columns are samples)")
     n = X.shape[1]
-    needed = config.embed_dim + (1 if config.drop_trivial else 0)
-    if n < needed:
-        raise DataError(
-            f"embed_dim {config.embed_dim} exceeds available eigenpairs for n={n}"
-        )
+    kept = config.embed_dim + 1  # the trivial pair, then the retained ones
+    if n < kept:
+        raise DataError(f"embed_dim {config.embed_dim} exceeds available eigenpairs for n={n}")
     M = pairwise_sq_distances(X)  # one matrix gives the median and the affinity
     sigma = bandwidth(M, config.bandwidth)
     W = _gaussian(M, sigma)
-    row_sums = W.sum(axis=1)
     # symmetric conjugate of T = D^-1 W shares its (real) spectrum
-    inv_root = 1.0 / np.sqrt(row_sums)
+    inv_root = 1.0 / np.sqrt(W.sum(axis=1))
     S = np.outer(inv_root, inv_root)
     S *= W
     S = np.add(S, S.T, out=W)  # symmetrised in the affinity's buffer
     S /= 2.0
     del M, W  # other names of S's buffer: only S stays live through eigh
-    values, vectors = np.linalg.eigh(S)
-    del S
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    phi = vectors[:, order]
-    del vectors
+    values, phi = _sorted_eigh(S, kept)
+    values = values[:kept]
     phi *= inv_root[:, None]  # right eigenvectors of T
     phi /= np.linalg.norm(phi, axis=0, keepdims=True)
-    _fix_signs(phi)
+    _fix_signs(phi)  # again: the rescale can move each column's largest entry
 
-    start = 1 if config.drop_trivial else 0
-    retained = np.arange(start, start + config.embed_dim)
-    scale = values[retained] ** config.time
-    embedding = phi[:, retained] * scale[None, :]
+    embedding = phi[:, 1:] * (values[1:] ** config.time)[None, :]
     return DiffusionModel(
         train_points=X.copy(),
         eigenvalues=values,
         eigenvectors=phi,
         embedding=embedding,
-        row_sums=row_sums,
         bandwidth=sigma,
         time=config.time,
         embed_dim=config.embed_dim,
-        drop_trivial=config.drop_trivial,
-        retained=retained,
     )
 
 
@@ -163,8 +147,8 @@ def extend(model: DiffusionModel, Xnew):
             f"point at bandwidth {model.bandwidth!r}: they lie too far from the training data"
         )
     probs /= sums
-    lam = model.eigenvalues[model.retained]
-    coords = probs @ model.eigenvectors[:, model.retained]
+    lam = model.eigenvalues[1:]
+    coords = probs @ model.eigenvectors[:, 1:]
     return coords * (lam ** (model.time - 1))[None, :]
 
 
@@ -176,18 +160,14 @@ def save_embedding_csv(path, embedding, labels=None):
 
 
 def save_model_json(model: DiffusionModel, path):
-    """Serialize the fitted diffusion model (full float precision)."""
+    """Serialize what `extend` needs (full float precision): the kept pairs and training points."""
     payload = {
         "bandwidth": model.bandwidth,
         "time": model.time,
         "embed_dim": model.embed_dim,
-        "drop_trivial": model.drop_trivial,
         "eigenvalues": model.eigenvalues.tolist(),
-        "retained": model.retained.tolist(),
-        "row_sums": model.row_sums.tolist(),
-        "train_points": model.train_points.tolist(),
         "eigenvectors": model.eigenvectors.tolist(),
-        "embedding": model.embedding.tolist(),
+        "train_points": model.train_points.tolist(),
     }
     try:
         atomic_write_text(path, json.dumps(payload) + "\n")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import DataError, NumericalError
-from ._util import atomic_write_text
+from ._util import atomic_write_text, positive_int
 
 MODEL_KINDS = ("sklp", "pca", "lda")
 
@@ -62,16 +62,14 @@ class SklpConfig:
             raise DataError("rho must lie in (0, 1)")
         if not 0.0 < self.learning_rate <= 1.0:
             raise DataError("learning_rate must lie in (0, 1]")
-        if self.max_iters < 1:
-            raise DataError("max_iters must be positive")
+        object.__setattr__(self, "max_iters", positive_int(self.max_iters, "max_iters"))
         if self.rel_tolerance <= 0:
             raise DataError("rel_tolerance must be positive")
         if self.kernel_bandwidth != "auto":
             if not float(self.kernel_bandwidth) > 0:
                 raise DataError("kernel_bandwidth must be positive or 'auto'")
         if self.target_dim != "auto":
-            if int(self.target_dim) < 1:
-                raise DataError("target_dim must be a positive integer or 'auto'")
+            object.__setattr__(self, "target_dim", positive_int(self.target_dim, "target_dim"))
         if self.class_weights is not None:
             weights = tuple(float(w) for w in self.class_weights)
             if any(w <= 0 for w in weights):
@@ -242,7 +240,7 @@ def bandwidth(M, setting):
 
 def output_dim(target_dim, class_count, dim, sample_count):
     """Output dimension: K - 1 for "auto", else target_dim; capped at min(D, n-1), at least 1."""
-    d = class_count - 1 if target_dim == "auto" else int(target_dim)
+    d = class_count - 1 if target_dim == "auto" else positive_int(target_dim, "target_dim")
     return max(1, min(d, dim, sample_count - 1))
 
 
@@ -533,8 +531,8 @@ def load_model(path) -> ProjectionModel:
         return ProjectionModel(
             matrix=np.asarray(payload["matrix"], dtype=np.float64),
             kind=payload["kind"],
-            dim_in=int(payload["dim_in"]),
-            dim_out=int(payload["dim_out"]),
+            dim_in=positive_int(payload["dim_in"], "dim_in"),
+            dim_out=positive_int(payload["dim_out"], "dim_out"),
             eigenvalues=np.asarray(payload["eigenvalues"], dtype=np.float64),
             mean=np.asarray(payload["mean"], dtype=np.float64) if payload.get("mean") is not None else None,
             config=payload.get("config"),

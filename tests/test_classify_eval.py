@@ -56,6 +56,15 @@ class TestKnn:
         with pytest.raises(DataError):
             knn_predict((np.zeros((1, 2)), np.array([0, 1])), np.zeros((1, 1)), KnnConfig(k=3))
 
+    @pytest.mark.parametrize(
+        "make, field", [(lambda v: KnnConfig(k=v), "k"), (lambda v: SvmConfig(epochs=v), "epochs")]
+    )
+    def test_counts_must_be_positive_integers(self, make, field):
+        for value in (1.5, "3", 0):
+            with pytest.raises(DataError, match=f"{field} must be a positive integer"):
+                make(value)
+        assert type(getattr(make(2.0), field)) is int
+
     def test_self_prediction_with_distinct_points(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((4, 15))
@@ -88,7 +97,7 @@ class TestSvm:
 
     def test_seed_determinism(self):
         X, y = self.separable(seed=3)
-        config = SvmConfig(regularization=1e-2, epochs=40, seed=7)
+        config = SvmConfig(regularization=1e-2, epochs=40)
         a = svm_fit((X, y), config)
         b = svm_fit((X, y), config)
         assert np.array_equal(a.weights, b.weights)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sklpdm import SklpConfig, load_csv, load_model
+from sklpdm import DiffusionConfig, KnnConfig, SklpConfig, SvmConfig, load_csv, load_model
 from sklpdm.cli import _build_parser, run
 
 
@@ -389,3 +389,30 @@ def test_version_flag():
     )
     assert result.returncode == 0
     assert "sklpdm" in result.stdout
+
+
+def test_diffusion_flag_defaults_match_config():
+    default = DiffusionConfig()
+    parser = _build_parser()
+    flags = vars(parser.parse_args(["diffuse", "--data", "d.csv", "--out", "e.csv"]))
+    assert (flags["dim"], flags["sigma"], flags["time"]) == (
+        default.embed_dim, default.bandwidth, default.time
+    )
+    flags = vars(parser.parse_args(
+        ["evaluate", "--data", "d.csv", "--pipeline", "dm", "--report", "r.txt", "--confusion", "c.csv"]
+    ))
+    # --dm-dim 0 follows the projection dimension
+    assert (flags["dm_dim"], flags["dm_sigma"], flags["time"]) == (0, default.bandwidth, default.time)
+
+
+def test_classifier_flag_defaults_match_config():
+    knn, svm = KnnConfig(), SvmConfig()
+    expected = {"k": knn.k, "reg": svm.regularization, "epochs": svm.epochs}
+    parser = _build_parser()
+    for argv in (
+        ["classify", "knn", "--train", "a.csv", "--test", "b.csv", "--report", "r.txt"],
+        ["evaluate", "--data", "d.csv", "--pipeline", "pca", "--report", "r.txt", "--confusion", "c.csv"],
+    ):
+        flags = vars(parser.parse_args(argv))
+        assert {key: flags[key] for key in expected} == expected, argv[0]
+        assert "seed" not in flags, argv[0]  # svm training consumes no randomness

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sklpdm import DataError, DiffusionConfig, NumericalError, affinity, transition
-from sklpdm import diffusion_map
+from sklpdm import diffusion_map, sklp_projection
 
 from oracles import csv_rows_oracle, transition_eig_oracle
 
@@ -90,7 +91,7 @@ class TestFit:
         X = rng.standard_normal((3, 12))
         base = diffusion_map.fit(X, DiffusionConfig(embed_dim=3, time=1))
         doubled = diffusion_map.fit(X, DiffusionConfig(embed_dim=3, time=2))
-        lam = base.eigenvalues[base.retained]
+        lam = base.eigenvalues[1:]
         np.testing.assert_allclose(doubled.embedding, base.embedding * lam[None, :], atol=1e-10)
 
     def test_matches_dense_transition_eigensolve(self):
@@ -98,15 +99,18 @@ class TestFit:
         model = diffusion_map.fit(X, DiffusionConfig(bandwidth=1.0, embed_dim=2, time=1))
         T = transition(affinity(X, 1.0))
         oracle_values, oracle_vectors = transition_eig_oracle(T)
-        np.testing.assert_allclose(model.eigenvalues, oracle_values, atol=1e-8)
-        for col, idx in enumerate(model.retained):
-            ours = model.embedding[:, col]
-            reference = oracle_vectors[:, idx]
-            reference = reference / np.linalg.norm(reference) * oracle_values[idx]
-            agreement = min(
-                np.max(np.abs(ours - reference)), np.max(np.abs(ours + reference))
-            )
-            assert agreement <= 1e-8
+        assert model.eigenvalues.shape == (3,) and model.eigenvectors.shape == (6, 3)
+        np.testing.assert_allclose(model.eigenvalues, oracle_values[:3], atol=1e-8)
+        for idx in range(3):
+            reference = oracle_vectors[:, idx] / np.linalg.norm(oracle_vectors[:, idx])
+            columns = [(model.eigenvectors[:, idx], reference)]
+            if idx > 0:
+                columns.append((model.embedding[:, idx - 1], reference * oracle_values[idx]))
+            for ours, expected in columns:
+                agreement = min(
+                    np.max(np.abs(ours - expected)), np.max(np.abs(ours + expected))
+                )
+                assert agreement <= 1e-8
 
     def test_leading_eigenpair_is_trivial(self):
         rng = np.random.default_rng(4)
@@ -116,21 +120,45 @@ class TestFit:
         lead = model.eigenvectors[:, 0]
         assert np.max(np.abs(lead - lead[0])) <= 1e-8  # constant eigenvector
 
-    def test_drop_trivial_false_keeps_constant_column(self):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((2, 8))
-        model = diffusion_map.fit(X, DiffusionConfig(embed_dim=2, drop_trivial=False))
-        assert model.retained[0] == 0
-
     def test_embed_dim_exceeds_eigenpairs(self):
         X = np.array([[0.0, 1.0, 2.0]])
         with pytest.raises(DataError, match="embed_dim"):
             diffusion_map.fit(X, DiffusionConfig(embed_dim=3))
 
     def test_auto_bandwidth_needs_two_points(self):
-        X = np.ones((3, 1))
         with pytest.raises(DataError, match="at least 2 points"):
-            diffusion_map.fit(X, DiffusionConfig(embed_dim=1, drop_trivial=False))
+            sklp_projection.bandwidth(np.zeros((1, 1)), "auto")
+
+    def test_keeps_no_n_by_n_array(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 30
+        model = diffusion_map.fit(rng.standard_normal((4, n)), DiffusionConfig(embed_dim=3))
+        assert model.eigenvalues.shape == (4,)
+        assert model.eigenvectors.shape == (n, 4)
+        assert model.embedding.shape == (n, 3)
+        for value in vars(model).values():
+            assert np.shape(value) != (n, n)
+        path = tmp_path / "model.json"
+        diffusion_map.save_model_json(model, path)
+        payload = json.loads(path.read_text())
+        assert sorted(payload) == [
+            "bandwidth", "eigenvalues", "eigenvectors", "embed_dim", "time", "train_points"
+        ]
+        for value in payload.values():
+            assert np.shape(value) != (n, n)
+        np.testing.assert_array_equal(payload["eigenvectors"], model.eigenvectors)
+        np.testing.assert_array_equal(payload["train_points"], model.train_points)
+
+    @pytest.mark.parametrize("field", ["embed_dim", "time"])
+    @pytest.mark.parametrize("value", [2.7, 1.9, "2", 0])
+    def test_settings_must_be_positive_integers(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be a positive integer"):
+            DiffusionConfig(**{field: value})
+
+    def test_integral_float_settings_become_ints(self):
+        config = DiffusionConfig(embed_dim=3.0, time=2.0)
+        assert (config.embed_dim, config.time) == (3, 2)
+        assert type(config.embed_dim) is int and type(config.time) is int
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(6)

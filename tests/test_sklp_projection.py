@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -30,6 +31,7 @@ from sklpdm import (
 from sklpdm.sklp_projection import (
     ProjectionModel,
     default_class_weights,
+    output_dim,
     pairwise_sq_distances,
 )
 
@@ -374,6 +376,25 @@ class TestUpdateDistances:
 
 
 class TestFit:
+    @pytest.mark.parametrize("value", [2.7, 1.9, "2", 0])
+    def test_target_dim_must_be_positive_integer(self, value):
+        with pytest.raises(DataError, match="target_dim must be a positive integer"):
+            SklpConfig(target_dim=value)
+        with pytest.raises(DataError, match="target_dim must be a positive integer"):
+            output_dim(value, 4, 6, 80)
+
+    def test_fractional_max_iters_rejected(self):
+        with pytest.raises(DataError, match="max_iters must be a positive integer"):
+            SklpConfig(max_iters=2.5)
+
+    def test_integral_float_target_dim_becomes_int(self):
+        data = gen_gaussian_classes(4, 20, 6, 1.0, 5.0, seed=0)
+        config = SklpConfig(rho=0.6, target_dim=2.0, max_iters=3.0)
+        assert type(config.target_dim) is int and config.echo()["target_dim"] == 2
+        assert type(config.max_iters) is int
+        model, _ = fit(data, config)
+        assert model.dim_out == 2
+
     def test_projection_helps_separated_classes(self):
         wins = 0
         for seed in range(10):
@@ -557,6 +578,17 @@ class TestSerialization:
         path.write_text(text)
         with pytest.raises(DataError, match="bad-model.json"):
             load_model(path)
+
+    @pytest.mark.parametrize("field, value", [("dim_in", 2.7), ("dim_out", 1.9)])
+    def test_non_integral_dimension_rejected(self, tmp_path, field, value):
+        payload = {"kind": "pca", "dim_in": 2, "dim_out": 1, "matrix": [[1.0], [0.0]], "eigenvalues": [1.0]}
+        path = tmp_path / "frac-model.json"
+        path.write_text(json.dumps({**payload, field: value}))
+        message = f"frac-model.json: malformed model file: {field} must be a positive integer, got {value}"
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+        path.write_text(json.dumps({**payload, field: float(payload[field])}))
+        assert getattr(load_model(path), field) == payload[field]
 
     @pytest.mark.parametrize("field", ["matrix", "eigenvalues", "mean"])
     def test_non_finite_entries_rejected(self, field):
