@@ -259,32 +259,28 @@ PIPELINES = ("pca", "lda", "dm", "sklp+dm")
 class PipelineConfig:
     """Names the reduction arm and classifier for cross-validated evaluation.
 
-    target_dim applies to the linear projection ("auto" = K - 1). The same
-    DiffusionConfig drives the `dm` and `sklp+dm` arms so their parameters
-    stay identical.
+    sklp.target_dim sets the dimension of every linear projection arm
+    ("auto" = K - 1). The same DiffusionConfig drives the `dm` and
+    `sklp+dm` arms so their parameters stay identical.
     """
 
     reduction: str = "sklp+dm"
     classifier: str = "knn"
-    target_dim: int | str = "auto"
     knn: KnnConfig = field(default_factory=KnnConfig)
     svm: SvmConfig = field(default_factory=SvmConfig)
     sklp: SklpConfig = field(default_factory=SklpConfig)
-    diffusion: diffusion_map.DiffusionConfig | None = None
+    diffusion: diffusion_map.DiffusionConfig = field(default_factory=diffusion_map.DiffusionConfig)
 
     def __post_init__(self):
         if self.reduction not in PIPELINES:
             raise DataError(f"unknown pipeline {self.reduction!r}; choose from {PIPELINES}")
         if self.classifier not in ("knn", "svm"):
             raise DataError("classifier must be 'knn' or 'svm'")
-        if self.diffusion is None:
-            object.__setattr__(self, "diffusion", diffusion_map.DiffusionConfig())
 
     def echo(self):
         return {
             "reduction": self.reduction,
             "classifier": self.classifier,
-            "target_dim": self.target_dim,
             "knn_k": self.knn.k,
             "svm_regularization": self.svm.regularization,
             "svm_epochs": self.svm.epochs,
@@ -307,7 +303,7 @@ class CrossValidationResult:
 
 def _embed_fold(train_X, train_y, test_X, class_count, pipeline: PipelineConfig):
     """Fit the named reduction on the training side; embed both sides."""
-    d = sklp_projection.output_dim(pipeline.target_dim, class_count, *train_X.shape)
+    d = sklp_projection.output_dim(pipeline.sklp.target_dim, class_count, *train_X.shape)
     if pipeline.reduction == "pca":
         model = baselines.pca_fit(train_X, d)
         return sklp_projection.project(model, train_X), sklp_projection.project(model, test_X)
@@ -317,10 +313,7 @@ def _embed_fold(train_X, train_y, test_X, class_count, pipeline: PipelineConfig)
         return sklp_projection.project(model, train_X), sklp_projection.project(model, test_X)
     if pipeline.reduction == "sklp+dm":
         fold_set = LabeledDataset(features=train_X, labels=train_y, class_count=class_count)
-        sklp_cfg = pipeline.sklp
-        if sklp_cfg.target_dim == "auto" and pipeline.target_dim != "auto":
-            sklp_cfg = SklpConfig(**{**sklp_cfg.echo(), "target_dim": d})
-        model, _ = sklp_projection.fit(fold_set, sklp_cfg)
+        model, _ = sklp_projection.fit(fold_set, pipeline.sklp)
         train_X = sklp_projection.project(model, train_X)
         test_X = sklp_projection.project(model, test_X)
     dm = diffusion_map.fit(train_X, pipeline.diffusion)

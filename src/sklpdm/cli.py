@@ -2,15 +2,16 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Every run writes its primary output atomically and drops a
-`<output>.manifest.json` recording the command, flags, seed, paths,
-version, and wall-clock duration; replaying the manifest's flags
-reproduces the outputs byte-for-byte.
+`<output>.manifest.json` recording the command, flags (`synth`'s seed
+among them), paths, version, and wall-clock duration; replaying the
+manifest's flags reproduces the outputs byte-for-byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -26,13 +27,12 @@ from . import diffusion_map
 from . import silhouette_features
 from . import sklp_projection
 from .dataset import (
-    LabeledDataset,
+    from_names,
     load_csv,
     save_csv,
     gen_gaussian_classes,
     gen_ring_classes,
     with_groups,
-    _dense_ids,
 )
 from .errors import DataError, NumericalError
 from ._util import atomic_write_text, format_float
@@ -165,7 +165,6 @@ def _write_manifest(primary_output, args, inputs, outputs, started):
             for key, value in sorted(vars(args).items())
             if key != "command"
         },
-        "seed": getattr(args, "seed", 0),
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "version": __version__,
@@ -236,24 +235,12 @@ def _cmd_radon(args, started):
     base = os.path.dirname(os.path.abspath(args.manifest))
     config = silhouette_features.RadonConfig(angle_bins=args.angles)
     paths = [raw if os.path.isabs(raw) else os.path.join(base, raw) for raw, _, _ in entries]
-    features, _ = silhouette_features.sequence_features(paths, config)
+    features = silhouette_features.sequence_features(paths, config)
     labels = [label for _, label, _ in entries]
     groups = [group for _, _, group in entries]
-    has_groups = any(group is not None for group in groups)
-
-    label_ids, label_names = _dense_ids(labels)
-    group_ids = group_names = None
-    if has_groups:
-        group_ids, group_names = _dense_ids(groups)
-    data = LabeledDataset(
-        features=features,
-        labels=label_ids,
-        class_count=len(label_names),
-        label_names=label_names,
-        groups=group_ids,
-        group_names=group_names,
-    )
-    save_csv(data, args.out)
+    if all(group is None for group in groups):
+        groups = None
+    save_csv(from_names(features, labels, groups), args.out)
     _write_manifest(args.out, args, [args.manifest], [args.out], started)
     return 0
 
@@ -276,15 +263,7 @@ def _cmd_project(args, started):
     model = sklp_projection.load_model(args.model)
     data = load_csv(args.data)
     projected = sklp_projection.project(model, data.features)
-    out_set = LabeledDataset(
-        features=projected,
-        labels=data.labels,
-        class_count=data.class_count,
-        label_names=data.label_names,
-        groups=data.groups,
-        group_names=data.group_names,
-    )
-    save_csv(out_set, args.out)
+    save_csv(dataclasses.replace(data, features=projected), args.out)
     _write_manifest(args.out, args, [args.model, args.data], [args.out], started)
     return 0
 
@@ -382,7 +361,6 @@ def _cmd_evaluate(args, started):
     pipeline = classify_eval.PipelineConfig(
         reduction=args.pipeline,
         classifier=args.classifier,
-        target_dim=args.dim,
         knn=classify_eval.KnnConfig(k=args.k),
         svm=classify_eval.SvmConfig(regularization=args.reg, epochs=args.epochs),
         sklp=sklp_cfg,

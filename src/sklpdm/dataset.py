@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,19 +129,27 @@ def load_csv(path) -> LabeledDataset:
         raise DataError(f"{path}: no data rows")
 
     values = _parse_features(path, header, body, feature_cols)
-    labels_raw = [row[label_col] for row in body]
-    groups_raw = [row[group_col] for row in body] if group_col is not None else None
+    labels = [row[label_col] for row in body]
+    groups = [row[group_col] for row in body] if group_col is not None else None
+    return from_names(values.T, labels, groups)
 
-    labels, label_names = _dense_ids(labels_raw)
-    groups = group_names = None
-    if groups_raw is not None:
-        groups, group_names = _dense_ids(groups_raw)
+
+def from_names(features, labels, groups=None) -> LabeledDataset:
+    """Dataset from per-sample label names and optional group names.
+
+    Both become dense ids in first-appearance order; the names are kept
+    for reporting.
+    """
+    label_ids, label_names = _dense_ids(labels)
+    group_ids = group_names = None
+    if groups is not None:
+        group_ids, group_names = _dense_ids(groups)
     return LabeledDataset(
-        features=values.T,
-        labels=labels,
+        features=features,
+        labels=label_ids,
         class_count=len(label_names),
         label_names=label_names,
-        groups=groups,
+        groups=group_ids,
         group_names=group_names,
     )
 
@@ -269,10 +277,4 @@ def with_groups(dataset: LabeledDataset, group_count: int) -> LabeledDataset:
     for k in range(dataset.class_count):
         members = np.where(dataset.labels == k)[0]
         groups[members] = np.arange(len(members)) % group_count
-    return LabeledDataset(
-        features=dataset.features,
-        labels=dataset.labels,
-        class_count=dataset.class_count,
-        label_names=dataset.label_names,
-        groups=groups,
-    )
+    return replace(dataset, groups=groups, group_names=None)

@@ -222,7 +222,7 @@ def r_transform(sinogram: RadonSinogram):
 def sequence_features(frame_paths, config: RadonConfig | None = None):
     """Feature matrix for an ordered frame list: column f is frame f's angle profile.
 
-    Returns (angle_bins x F matrix, F). Per-frame failures are re-raised
+    Returns the angle_bins x F matrix. Per-frame failures are re-raised
     with the frame index.
     """
     frame_paths = list(frame_paths)
@@ -238,4 +238,4 @@ def sequence_features(frame_paths, config: RadonConfig | None = None):
         except (DataError, NumericalError) as exc:
             reason = str(exc).removeprefix(f"{frame_path}: ")  # load_pgm names the path
             raise type(exc)(f"frame {f} ({frame_path}): {reason}") from exc
-    return np.column_stack(columns), len(columns)
+    return np.column_stack(columns)

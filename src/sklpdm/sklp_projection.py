@@ -143,19 +143,22 @@ class SklpState:
     """Per-iteration state of the projection fit.
 
     M holds the current symmetric matrix of low-dimensional squared
-    distances; m_c / m_o / alpha reflect the latest kernel summaries, alpha
-    being the K x K class-block pair weights W of `alpha_weights`.
-    objective_history[0] is the objective at initialization; entry t is the
-    objective after iteration t. predicted_increments records, per
-    iteration, the sum of the selected eigenvalues plus the constant
+    distances; m_c / m_o are the kernel averages the latest pair weights
+    were built from. sigma and class_weights are the bandwidth and the
+    lambda_k that init_state resolved. objective_history[0] is the
+    objective at initialization; entry t is the objective after iteration
+    t, and eigenvalue_history[t] the eigenvalues of the directions chosen
+    there. predicted_increments records, per iteration, the sum of the
+    selected eigenvalues plus the constant
     (1-rho) * sum_k lambda_k n_k - rho * n_o  (a reported diagnostic of the
-    expected objective gain; not enforced).
+    expected objective gain; not enforced). best_index is the iterate with
+    the highest objective; best_matrix and best_scatter are its directions
+    and the scatter they were solved from (None for the initialization).
     """
 
     M: np.ndarray
     m_c: np.ndarray
     m_o: float
-    alpha: np.ndarray
     objective_history: list = field(default_factory=list)
     iteration: int = 0
     sigma: float = 0.0
@@ -163,9 +166,7 @@ class SklpState:
     predicted_increments: list = field(default_factory=list)
     eigenvalue_history: list = field(default_factory=list)
     best_index: int = 0
-    best_objective: float = -math.inf
     best_matrix: np.ndarray | None = None
-    best_eigenvalues: np.ndarray | None = None
     best_scatter: np.ndarray | None = None
 
 
@@ -191,24 +192,14 @@ def default_class_weights(labels, class_count):
     return n_o / (class_count * np.maximum(n_k, 1))
 
 
-def _resolve_weights(config, labels, class_count, given=None):
-    """Class weights lambda_k: `given` when passed, else the config's, else the default."""
-    if given is not None:
-        return np.asarray(given, dtype=np.float64)
-    if config.class_weights is not None:
-        weights = np.asarray(config.class_weights, dtype=np.float64)
-        if weights.shape != (class_count,):
-            raise DataError(f"class_weights must have length {class_count}")
-        return weights
-    return default_class_weights(labels, class_count)
-
-
-def _resolve_sigma(config, sigma):
-    if sigma is not None:
-        return float(sigma)
-    if config.kernel_bandwidth == "auto":
-        raise DataError("kernel_bandwidth 'auto' is resolved by init_state; pass sigma explicitly")
-    return float(config.kernel_bandwidth)
+def _class_weights(config, labels, class_count):
+    """Class weights lambda_k: the config's when set, else the pair-count default."""
+    if config.class_weights is None:
+        return default_class_weights(labels, class_count)
+    weights = np.asarray(config.class_weights, dtype=np.float64)
+    if weights.shape != (class_count,):
+        raise DataError(f"class_weights must have length {class_count}")
+    return weights
 
 
 def pairwise_sq_distances(points, others=None):
@@ -265,16 +256,16 @@ def _kernel_sums(M, labels, class_count, sigma):
     return np.diag(blocks), inter, n_k, n_o
 
 
-def kernel_averages(M, labels, config, *, sigma=None, class_count=None):
-    """Per-class and inter-class kernel averages of the distance matrix M.
+def kernel_averages(M, labels, sigma):
+    """Per-class and inter-class kernel averages of the distance matrix M at bandwidth sigma.
 
     m_ck = exp(-(1/n_k) * sum over ordered same-class pairs of exp(-M_ij/sigma^2)),
-    m_o analogously over inter-class pairs. Both lie in (exp(-1), 1].
-    Singleton classes (no intra pairs) report m_ck = 1.
+    m_o analogously over inter-class pairs, with K = labels.max() + 1
+    classes. Both lie in (exp(-1), 1]. Singleton classes (no intra pairs)
+    report m_ck = 1.
     """
     labels = np.asarray(labels)
-    K = class_count if class_count is not None else int(labels.max()) + 1
-    return _averages(*_kernel_sums(M, labels, K, _resolve_sigma(config, sigma)))
+    return _averages(*_kernel_sums(M, labels, int(labels.max()) + 1, sigma))
 
 
 def _averages(intra, inter, n_k, n_o):
@@ -286,16 +277,15 @@ def _objective_value(intra, inter, rho, weights):
     return (1.0 - rho) * float(weights @ intra) - rho * inter
 
 
-def alpha_weights(m_c, m_o, labels, config, *, class_weights=None):
+def alpha_weights(m_c, m_o, rho, weights):
     """Class-block pair weights W (K x K): W_kk = -(1-rho) * lambda_k / m_ck, W_kl = rho / m_o.
 
-    The weight of the pair (i, j) is W[labels[i], labels[j]].
+    weights holds the lambda_k. The weight of the pair (i, j) is
+    W[labels[i], labels[j]].
     """
     m_c = np.asarray(m_c, dtype=np.float64)
-    K = len(m_c)
-    weights = _resolve_weights(config, np.asarray(labels), K, class_weights)
-    W = np.full((K, K), config.rho / m_o)
-    np.fill_diagonal(W, -(1.0 - config.rho) * weights / m_c)
+    W = np.full((len(m_c), len(m_c)), rho / m_o)
+    np.fill_diagonal(W, -(1.0 - rho) * np.asarray(weights, dtype=np.float64) / m_c)
     return W
 
 
@@ -360,13 +350,14 @@ def solve_eig(A, d):
     return values[:d], vectors[:, :d]
 
 
-def objective(M, labels, config, *, sigma=None, class_weights=None):
-    """J = (1-rho) sum_k lambda_k sum_intra kernel - rho sum_inter kernel."""
+def objective(M, labels, sigma, rho, weights):
+    """J = (1-rho) sum_k lambda_k sum_intra kernel - rho sum_inter kernel, K = labels.max() + 1.
+
+    The kernel is exp(-M_ij / sigma^2) over ordered pairs i != j; weights holds the lambda_k.
+    """
     labels = np.asarray(labels)
-    K = int(labels.max()) + 1
-    weights = _resolve_weights(config, labels, K, class_weights)
-    intra, inter, _, _ = _kernel_sums(M, labels, K, _resolve_sigma(config, sigma))
-    return _objective_value(intra, inter, config.rho, weights)
+    intra, inter, _, _ = _kernel_sums(M, labels, int(labels.max()) + 1, sigma)
+    return _objective_value(intra, inter, rho, np.asarray(weights, dtype=np.float64))
 
 
 def update_distances(M, P, X, learning_rate):
@@ -398,7 +389,7 @@ def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
     if K < 2:
         raise NumericalError("need at least 2 classes (K >= 2) to contrast pairs")
     d = output_dim(config.target_dim, K, dataset.dim, n)
-    weights = _resolve_weights(config, dataset.labels, K)
+    weights = _class_weights(config, dataset.labels, K)
 
     try:
         init_values, init_matrix = solve_eig(covariance(X)[1], d)
@@ -407,23 +398,19 @@ def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
 
     M = pairwise_sq_distances(init_matrix.T @ X)
     sigma = bandwidth(M, config.kernel_bandwidth)
-    m_c, m_o = kernel_averages(M, dataset.labels, config, sigma=sigma, class_count=K)
-    alpha = alpha_weights(m_c, m_o, dataset.labels, config, class_weights=weights)
-    J0 = objective(M, dataset.labels, config, sigma=sigma, class_weights=weights)
+    m_c, m_o = kernel_averages(M, dataset.labels, sigma)
+    J0 = objective(M, dataset.labels, sigma, config.rho, weights)
     return SklpState(
         M=M,
         m_c=m_c,
         m_o=m_o,
-        alpha=alpha,
         objective_history=[J0],
         iteration=0,
         sigma=sigma,
         class_weights=weights,
         eigenvalue_history=[init_values],
         best_index=0,
-        best_objective=J0,
         best_matrix=init_matrix,
-        best_eigenvalues=init_values,
         best_scatter=None,
     )
 
@@ -452,10 +439,8 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
     averages = state.m_c, state.m_o
     for t in range(1, config.max_iters + 1):
         state.m_c, state.m_o = averages
-        state.alpha = alpha_weights(
-            state.m_c, state.m_o, labels, config, class_weights=state.class_weights
-        )
-        scatter = scatter_matrix(X, labels, state.alpha)
+        W = alpha_weights(state.m_c, state.m_o, config.rho, state.class_weights)
+        scatter = scatter_matrix(X, labels, W)
         values, P = solve_eig(scatter, d)
         state.M = update_distances(state.M, P, X, config.learning_rate)
         # one exp(-M / sigma^2) gives this objective and the next iteration's averages
@@ -466,11 +451,9 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
         state.eigenvalue_history.append(values)
         state.predicted_increments.append(float(values.sum()) + increment_constant)
         state.iteration = t
-        if current > state.best_objective:
-            state.best_objective = current
+        if current > state.objective_history[state.best_index]:
             state.best_index = t
             state.best_matrix = P
-            state.best_eigenvalues = values
             state.best_scatter = scatter
         if abs(current - previous) <= config.rel_tolerance * (abs(previous) + 1.0):
             break
@@ -481,7 +464,7 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
         kind="sklp",
         dim_in=dataset.dim,
         dim_out=state.best_matrix.shape[1],
-        eigenvalues=state.best_eigenvalues,
+        eigenvalues=state.eigenvalue_history[state.best_index],
         config=config.echo(),
     )
     return model, state

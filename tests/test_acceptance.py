@@ -88,11 +88,10 @@ def test_criterion_1_algebraic_identities():
         sigma = float(rng.uniform(0.5, 3.0))
         rho = float(rng.uniform(0.1, 0.9))
         weights = rng.uniform(0.5, 3.0, K)
-        config = SklpConfig(rho=rho, class_weights=tuple(weights), kernel_bandwidth=sigma)
         M = pairwise_sq_distances(X)
 
         # log-mean identity at 1e-10 relative
-        m_c, m_o = kernel_averages(M, labels, config, class_count=K)
+        m_c, m_o = kernel_averages(M, labels, sigma)
         kernels = np.exp(-M / sigma**2)
         np.fill_diagonal(kernels, 0.0)
         counts = np.bincount(labels, minlength=K)
@@ -106,7 +105,7 @@ def test_criterion_1_algebraic_identities():
         assert abs(-n_o * math.log(m_o) - inter) <= 1e-10 * (abs(inter) + 1.0)
 
         # class-sum scatter equals the direct ordered-pair sum at 1e-9 relative
-        W = alpha_weights(m_c, m_o, labels, config, class_weights=weights)
+        W = alpha_weights(m_c, m_o, rho, weights)
         alpha = W[labels][:, labels]
         assembled = scatter_matrix(X, labels, W)
         direct_sum = scatter_oracle(X, alpha)
@@ -148,7 +147,9 @@ def test_criterion_2_eigen_solution_contract(ring_sweep, blob_sweep):
     for state in ring_sweep["states"] + blob_sweep["states"]:
         if state.best_scatter is None:
             continue  # best iterate was the initialization
-        _eigen_contract(state.best_matrix, state.best_eigenvalues, state.best_scatter)
+        _eigen_contract(
+            state.best_matrix, state.eigenvalue_history[state.best_index], state.best_scatter
+        )
         _rayleigh_beats_random(state.best_matrix, state.best_scatter, rng)
         fits += 1
     for trial in range(5):
@@ -156,10 +157,8 @@ def test_criterion_2_eigen_solution_contract(ring_sweep, blob_sweep):
         config = SklpConfig(rho=SWEEP_RHO)
         state = init_state(data, config)
         for _ in range(4):  # every iteration of the manual loop
-            m_c, m_o = kernel_averages(
-                state.M, data.labels, config, sigma=state.sigma, class_count=3
-            )
-            W = alpha_weights(m_c, m_o, data.labels, config, class_weights=state.class_weights)
+            m_c, m_o = kernel_averages(state.M, data.labels, state.sigma)
+            W = alpha_weights(m_c, m_o, config.rho, state.class_weights)
             A = scatter_matrix(data.features, data.labels, W)
             values, P = solve_eig(A, 2)
             _eigen_contract(P, values, A)
@@ -379,8 +378,7 @@ def test_criterion_7_objective_behavior(ring_sweep, blob_sweep):
     nondecreasing = 0
     for state in states:
         history = state.objective_history
-        assert state.best_objective == max(history)  # exact
-        assert history[state.best_index] == state.best_objective
+        assert history[state.best_index] == max(history)  # exact
         window = history[: min(4, len(history))]
         if all(window[i + 1] >= window[i] for i in range(len(window) - 1)):
             nondecreasing += 1
@@ -422,17 +420,16 @@ def test_criterion_8_oracle_equivalence():
         X, labels, K = random_labeled_instance(rng, n_max=14, d_max=4)
         M = pairwise_sq_distances(X)
         sigma = float(rng.uniform(0.5, 2.5))
-        config = SklpConfig(kernel_bandwidth=sigma)
-        m_c, m_o = kernel_averages(M, labels, config, class_count=K)
+        m_c, m_o = kernel_averages(M, labels, sigma)
         oracle_c, oracle_o = kernel_averages_oracle(M, labels, sigma)
         assert np.max(np.abs(m_c - oracle_c)) <= 1e-12
         assert abs(m_o - oracle_o) <= 1e-12
 
         weights = rng.uniform(0.5, 2.0, K)
         rho = float(rng.uniform(0.1, 0.9))
-        config = SklpConfig(rho=rho, class_weights=tuple(weights), kernel_bandwidth=sigma)
         expected = objective_oracle(M, labels, sigma, rho, weights)
-        assert abs(objective(M, labels, config) - expected) <= 1e-12 * (abs(expected) + 1.0)
+        value = objective(M, labels, sigma, rho, weights)
+        assert abs(value - expected) <= 1e-12 * (abs(expected) + 1.0)
 
     config = RadonConfig(angle_bins=9)
     for _ in range(100):

@@ -205,7 +205,7 @@ class TestCrossValidate:
     def test_distance_preserving_projection_perfect_accuracy(self):
         data = self.separable_grouped()
         pipeline = PipelineConfig(
-            reduction="pca", classifier="knn", target_dim=6, knn=KnnConfig(k=1)
+            reduction="pca", classifier="knn", knn=KnnConfig(k=1), sklp=SklpConfig(target_dim=6)
         )
         result = cross_validate_actions(data, pipeline)
         assert result.accuracy == 1.0
@@ -253,8 +253,9 @@ class TestCrossValidate:
             class_count=2,
             groups=[0, 0, 1, 1],  # group 0 holds all of class 0
         )
+        pipeline = PipelineConfig(reduction="pca", sklp=SklpConfig(target_dim=1))
         with pytest.raises(DataError, match="class"):
-            cross_validate_actions(data, PipelineConfig(reduction="pca", target_dim=1))
+            cross_validate_actions(data, pipeline)
 
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(DataError):

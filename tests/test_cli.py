@@ -103,7 +103,7 @@ class TestDeterminismAndManifest:
         ) == 0
         manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
         assert manifest["command"] == "synth"
-        assert manifest["seed"] == 5
+        assert manifest["flags"]["seed"] == 5
         assert manifest["version"]
         original = out.read_bytes()
         flags = manifest["flags"]
@@ -121,6 +121,17 @@ class TestDeterminismAndManifest:
         ]
         assert invoke(*replay) == 0
         assert out.read_bytes() == original
+
+    def test_seedless_command_records_no_seed(self, tmp_path, gaussian_csv):
+        report = tmp_path / "r.txt"
+        assert invoke(
+            "classify", "knn", "--train", str(gaussian_csv), "--test", str(gaussian_csv),
+            "--report", str(report),
+        ) == 0
+        manifest = json.loads((tmp_path / "r.txt.manifest.json").read_text())
+        assert manifest["command"] == "classify"
+        assert "seed" not in manifest
+        assert "seed" not in manifest["flags"]
 
     def test_fit_model_deterministic(self, tmp_path, gaussian_csv):
         m1 = tmp_path / "m1.json"

@@ -216,15 +216,14 @@ class TestSequenceFeatures:
         pixels = np.zeros((5, 5), dtype=np.uint8)
         pixels[2, 2] = 1
         path = write_p2(tmp_path / "f.pgm", pixels)
-        matrix, count = sequence_features([path], RadonConfig(angle_bins=4))
-        assert count == 1
+        matrix = sequence_features([path], RadonConfig(angle_bins=4))
         assert matrix.shape == (4, 1)
 
     def test_duplicate_frames_duplicate_columns(self, tmp_path):
         rng = np.random.default_rng(4)
         path = write_p2(tmp_path / "f.pgm", random_silhouette(rng, 6, 8))
-        matrix, count = sequence_features([path, path], RadonConfig(angle_bins=6))
-        assert count == 2
+        matrix = sequence_features([path, path], RadonConfig(angle_bins=6))
+        assert matrix.shape == (6, 2)
         np.testing.assert_array_equal(matrix[:, 0], matrix[:, 1])
 
     def test_translating_square_constant_features(self, tmp_path):
@@ -234,8 +233,8 @@ class TestSequenceFeatures:
             pixels = np.zeros((16, 16), dtype=np.uint8)
             pixels[2 + f : 6 + f, 3 + f : 7 + f] = 1
             paths.append(write_p2(tmp_path / f"sq{f}.pgm", pixels))
-        matrix, count = sequence_features(paths, config)
-        assert count == 5
+        matrix = sequence_features(paths, config)
+        assert matrix.shape == (12, 5)
         for f in range(1, 5):
             assert np.max(np.abs(matrix[:, f] - matrix[:, 0])) <= 1e-12
 
@@ -246,8 +245,8 @@ class TestSequenceFeatures:
         for pixels in frames:
             pixels[3, 4] = 1
         paths = [write_p2(tmp_path / f"f{f}.pgm", pixels) for f, pixels in enumerate(frames)]
-        matrix, count = sequence_features(paths, config)
-        assert count == 3 and matrix.shape == (8, 3)
+        matrix = sequence_features(paths, config)
+        assert matrix.shape == (8, 3)
         for f, pixels in enumerate(frames):
             expected = r_transform(RadonSinogram(T=radon_oracle(pixels, 8)))
             np.testing.assert_array_equal(matrix[:, f], expected)

@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,8 +102,7 @@ class TestInitState:
 class TestKernelAverages:
     def test_all_zero_distances(self):
         labels = np.array([0, 0, 1, 1])
-        config = SklpConfig(kernel_bandwidth=1.0)
-        m_c, m_o = kernel_averages(np.zeros((4, 4)), labels, config)
+        m_c, m_o = kernel_averages(np.zeros((4, 4)), labels, 1.0)
         assert m_c == pytest.approx([math.exp(-1)] * 2, abs=1e-12)
         assert m_o == pytest.approx(math.exp(-1), abs=1e-12)
 
@@ -112,7 +110,7 @@ class TestKernelAverages:
         labels = np.array([0, 0, 1, 1])
         M = np.full((4, 4), 1e6)
         np.fill_diagonal(M, 0.0)
-        m_c, m_o = kernel_averages(M, labels, SklpConfig(kernel_bandwidth=1.0))
+        m_c, m_o = kernel_averages(M, labels, 1.0)
         assert m_c == pytest.approx([1.0, 1.0], abs=1e-12)
         assert m_o == pytest.approx(1.0, abs=1e-12)
 
@@ -122,7 +120,7 @@ class TestKernelAverages:
         M = (raw + raw.T) / 2
         np.fill_diagonal(M, 0.0)
         labels = np.array([0, 1, 0, 1])
-        m_c, m_o = kernel_averages(M, labels, SklpConfig(kernel_bandwidth=1.0))
+        m_c, m_o = kernel_averages(M, labels, 1.0)
         oracle_c, oracle_o = kernel_averages_oracle(M, labels, 1.0)
         np.testing.assert_allclose(m_c, oracle_c, atol=1e-12)
         assert m_o == pytest.approx(oracle_o, abs=1e-12)
@@ -131,8 +129,7 @@ class TestKernelAverages:
 class TestAlphaWeights:
     def test_balanced_example(self):
         labels = np.array([0, 0, 1, 1])
-        config = SklpConfig(rho=0.5, class_weights=(1.0, 1.0), kernel_bandwidth=1.0)
-        W = alpha_weights([math.exp(-1)] * 2, math.exp(-1), labels, config)
+        W = alpha_weights([math.exp(-1)] * 2, math.exp(-1), 0.5, (1.0, 1.0))
         assert W.shape == (2, 2)
         alpha = W[labels][:, labels]
         assert alpha[0, 1] == pytest.approx(-0.5 * math.e, rel=1e-12)
@@ -140,10 +137,8 @@ class TestAlphaWeights:
         np.testing.assert_array_equal(W, W.T)
 
     def test_rho_one_drops_intra_weights(self):
-        # the formula at rho = 1 (config range gate bypassed on purpose)
         labels = np.array([0, 0, 1])
-        config = SimpleNamespace(rho=1.0, class_weights=(1.0, 1.0))
-        alpha = alpha_weights([0.5, 0.5], 0.5, labels, config)[labels][:, labels]
+        alpha = alpha_weights([0.5, 0.5], 0.5, 1.0, (1.0, 1.0))[labels][:, labels]
         assert alpha[0, 1] == 0.0
         assert alpha[0, 2] == pytest.approx(2.0)
 
@@ -152,8 +147,7 @@ class TestAlphaWeights:
         labels = rng.integers(0, 3, 10)
         labels[:3] = [0, 1, 2]
         m_c = rng.uniform(0.4, 0.9, 3)
-        config = SklpConfig(rho=0.3, class_weights=(1.0, 2.0, 0.5), kernel_bandwidth=1.0)
-        alpha = alpha_weights(m_c, 0.7, labels, config)[labels][:, labels]
+        alpha = alpha_weights(m_c, 0.7, 0.3, (1.0, 2.0, 0.5))[labels][:, labels]
         for i in range(10):
             for j in range(10):
                 if i == j:
@@ -306,16 +300,14 @@ class TestPairwiseSqDistances:
 class TestObjective:
     def test_all_zero_distances(self):
         labels = np.array([0, 0, 1, 1])
-        config = SklpConfig(rho=0.5, class_weights=(1.0, 1.0), kernel_bandwidth=1.0)
-        value = objective(np.zeros((4, 4)), labels, config)
+        value = objective(np.zeros((4, 4)), labels, 1.0, 0.5, (1.0, 1.0))
         assert value == pytest.approx(-2.0, abs=1e-12)
 
     def test_huge_distances_vanish(self):
         labels = np.array([0, 0, 1, 1])
         M = np.full((4, 4), 1e8)
         np.fill_diagonal(M, 0.0)
-        config = SklpConfig(rho=0.5, class_weights=(1.0, 1.0), kernel_bandwidth=1.0)
-        assert objective(M, labels, config) == pytest.approx(0.0, abs=1e-12)
+        assert objective(M, labels, 1.0, 0.5, (1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(12)
@@ -323,9 +315,9 @@ class TestObjective:
             X, labels, K = random_instance(rng)
             M = pairwise_sq_distances(X)
             lam = rng.uniform(0.5, 2.0, K)
-            config = SklpConfig(rho=0.35, class_weights=tuple(lam), kernel_bandwidth=1.3)
             expected = objective_oracle(M, labels, 1.3, 0.35, lam)
-            assert objective(M, labels, config) == pytest.approx(expected, abs=1e-12 * (1 + abs(expected)))
+            value = objective(M, labels, 1.3, 0.35, lam)
+            assert value == pytest.approx(expected, abs=1e-12 * (1 + abs(expected)))
 
 
 class TestUpdateDistances:
@@ -424,10 +416,8 @@ class TestFit:
         state = init_state(data, config)
         d = 2
         for _ in range(5):
-            m_c, m_o = kernel_averages(
-                state.M, data.labels, config, sigma=state.sigma, class_count=3
-            )
-            W = alpha_weights(m_c, m_o, data.labels, config, class_weights=state.class_weights)
+            m_c, m_o = kernel_averages(state.M, data.labels, state.sigma)
+            W = alpha_weights(m_c, m_o, config.rho, state.class_weights)
             A = scatter_matrix(data.features, data.labels, W)
             _, P = solve_eig(A, d)
             best = np.trace(P.T @ A @ P)
@@ -447,8 +437,7 @@ class TestFit:
     def test_best_objective_is_history_max(self):
         data = gen_gaussian_classes(3, 20, 6, 1.0, 6.0, seed=2)
         _, state = fit(data, SklpConfig(rho=0.5, max_iters=25))
-        assert state.best_objective == max(state.objective_history)
-        assert state.objective_history[state.best_index] == state.best_objective
+        assert state.objective_history[state.best_index] == max(state.objective_history)
 
     def test_determinism(self):
         data = gen_gaussian_classes(3, 18, 5, 1.0, 5.0, seed=6)
@@ -521,9 +510,7 @@ class TestInvariants:
             X, labels, K = random_instance(rng)
             M = pairwise_sq_distances(X)
             sigma = 1.0 + rng.uniform(0, 2)
-            m_c, m_o = kernel_averages(
-                M, labels, SklpConfig(kernel_bandwidth=sigma), class_count=K
-            )
+            m_c, m_o = kernel_averages(M, labels, sigma)
             kernels = np.exp(-M / sigma**2)
             np.fill_diagonal(kernels, 0.0)
             counts = np.bincount(labels, minlength=K)
