@@ -37,8 +37,6 @@ from .baselines import pca_fit, lda_fit
 from .diffusion_map import DiffusionConfig, DiffusionModel, affinity, transition
 from .silhouette_features import (
     SilhouetteImage,
-    RadonConfig,
-    RadonSinogram,
     load_pgm,
     radon,
     r_transform,
@@ -89,8 +87,6 @@ __all__ = [
     "affinity",
     "transition",
     "SilhouetteImage",
-    "RadonConfig",
-    "RadonSinogram",
     "load_pgm",
     "radon",
     "r_transform",

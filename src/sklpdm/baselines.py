@@ -53,8 +53,9 @@ def lda_fit(dataset: LabeledDataset, d) -> ProjectionModel:
     K = dataset.class_count
     if K < 2:
         raise DataError("lda_fit needs at least 2 classes")
-    if d < 1 or d > K - 1:
-        raise DataError(f"d={d} out of range: must satisfy 1 <= d <= K-1 = {K - 1}")
+    if d < 1:
+        raise DataError(f"d={d} out of range: must be at least 1")
+    d = min(d, K - 1)
     overall_mean = X.mean(axis=1)
     S_w = np.zeros((D, D))
     S_b = np.zeros((D, D))

@@ -2,14 +2,16 @@
 and the leave-one-group-out evaluation pipeline.
 
 Tie rules are fixed for reproducibility: KNN breaks distance ties by lower
-training index and vote ties by the nearest tied neighbor; SVM score ties
-go to the lowest class id; video vote ties go to the earliest frame's
-label among the tied labels.
+training index and SVM score ties go to the lowest class id. Every majority
+vote, KNN's over the k nearest neighbors and a video's over its frames,
+follows one rule (`_majority`): ties go to the label that occurs first,
+which is the nearest neighbor for KNN and the earliest frame for videos.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -90,6 +92,11 @@ class ConfusionMatrix:
         return out
 
 
+def _majority(labels):
+    """Most frequent label; Counter keeps first-encountered order, so a tie goes to the earliest."""
+    return Counter(labels).most_common(1)[0][0]
+
+
 def knn_predict(train, test, config: KnnConfig | None = None):
     """Majority label among the k nearest training columns (squared Euclidean), per test column."""
     if config is None:
@@ -108,17 +115,8 @@ def knn_predict(train, test, config: KnnConfig | None = None):
 
     sq = sklp_projection.pairwise_sq_distances(test_X, train_X)
     order = np.argsort(sq, axis=1, kind="stable")  # distance ties -> lower train index
-    predictions = np.empty(test_X.shape[1], dtype=np.int64)
-    for i in range(test_X.shape[1]):
-        neighbors = train_y[order[i, : config.k]]
-        counts = np.bincount(neighbors)
-        top = counts.max()
-        tied = set(np.flatnonzero(counts == top))
-        for label in neighbors:  # nearest tied neighbor decides
-            if label in tied:
-                predictions[i] = label
-                break
-    return predictions
+    neighbors = train_y[order[:, : config.k]].tolist()  # nearest first
+    return np.array([_majority(row) for row in neighbors], dtype=np.int64)
 
 
 def _hinge_objective(X, targets, w, b, reg):
@@ -219,18 +217,7 @@ def video_majority_vote(frame_labels, frame_groups):
     per_group = {}
     for label, group in zip(frame_labels, frame_groups):
         per_group.setdefault(group, []).append(label)
-    result = {}
-    for group, labels in per_group.items():
-        counts = {}
-        for label in labels:
-            counts[label] = counts.get(label, 0) + 1
-        top = max(counts.values())
-        tied = {label for label, c in counts.items() if c == top}
-        for label in labels:  # earliest frame among tied labels
-            if label in tied:
-                result[group] = label
-                break
-    return result
+    return {group: _majority(labels) for group, labels in per_group.items()}
 
 
 def confusion(true_labels, predicted_labels, class_count, class_names=None) -> ConfusionMatrix:
@@ -277,21 +264,6 @@ class PipelineConfig:
         if self.classifier not in ("knn", "svm"):
             raise DataError("classifier must be 'knn' or 'svm'")
 
-    def echo(self):
-        return {
-            "reduction": self.reduction,
-            "classifier": self.classifier,
-            "knn_k": self.knn.k,
-            "svm_regularization": self.svm.regularization,
-            "svm_epochs": self.svm.epochs,
-            "sklp": self.sklp.echo(),
-            "diffusion": {
-                "bandwidth": self.diffusion.bandwidth,
-                "embed_dim": self.diffusion.embed_dim,
-                "time": self.diffusion.time,
-            },
-        }
-
 
 @dataclass(frozen=True)
 class CrossValidationResult:
@@ -309,7 +281,7 @@ def _embed_fold(train_X, train_y, test_X, class_count, pipeline: PipelineConfig)
         return sklp_projection.project(model, train_X), sklp_projection.project(model, test_X)
     if pipeline.reduction == "lda":
         fold_set = LabeledDataset(features=train_X, labels=train_y, class_count=class_count)
-        model = baselines.lda_fit(fold_set, min(d, class_count - 1))
+        model = baselines.lda_fit(fold_set, d)
         return sklp_projection.project(model, train_X), sklp_projection.project(model, test_X)
     if pipeline.reduction == "sklp+dm":
         fold_set = LabeledDataset(features=train_X, labels=train_y, class_count=class_count)
@@ -346,19 +318,14 @@ def cross_validate_actions(dataset: LabeledDataset, pipeline: PipelineConfig) ->
         else:
             model = svm_fit((emb_train, train_y), pipeline.svm)
             predicted = svm_predict(model, emb_test)
-        fold_correct = 0
-        fold_total = 0
-        for k in np.unique(test_y):
-            video = predicted[test_y == k]
-            votes = video_majority_vote(video.tolist(), [0] * len(video))
-            counts[k, votes[0]] += 1
-            fold_correct += int(votes[0] == k)
-            fold_total += 1
-        fold_accuracies.append(fold_correct / fold_total)
+        votes = video_majority_vote(predicted.tolist(), test_y.tolist())  # one video per class
+        for k, vote in votes.items():
+            counts[k, vote] += 1
+        fold_accuracies.append(sum(vote == k for k, vote in votes.items()) / len(votes))
     matrix = ConfusionMatrix(counts=counts, class_names=dataset.label_names)
     return CrossValidationResult(
         confusion=matrix,
         accuracy=matrix.accuracy,
         fold_accuracies=tuple(fold_accuracies),
-        pipeline=pipeline.echo(),
+        pipeline=asdict(pipeline),
     )

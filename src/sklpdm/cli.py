@@ -233,9 +233,8 @@ def _parse_frame_manifest(args):
 def _cmd_radon(args, started):
     entries = _parse_frame_manifest(args)
     base = os.path.dirname(os.path.abspath(args.manifest))
-    config = silhouette_features.RadonConfig(angle_bins=args.angles)
     paths = [raw if os.path.isabs(raw) else os.path.join(base, raw) for raw, _, _ in entries]
-    features = silhouette_features.sequence_features(paths, config)
+    features = silhouette_features.sequence_features(paths, args.angles)
     labels = [label for _, label, _ in entries]
     groups = [group for _, _, group in entries]
     if all(group is None for group in groups):
@@ -250,9 +249,7 @@ def _cmd_fit(args, started):
     if args.kind == "sklp":
         model, _ = sklp_projection.fit(data, _sklp_config_from(args))
     else:
-        d = args.dim
-        if d == "auto":
-            d = sklp_projection.output_dim(d, data.class_count, data.dim, data.sample_count)
+        d = sklp_projection.output_dim(args.dim, data.class_count, data.dim, data.sample_count)
         model = baselines.pca_fit(data.features, d) if args.kind == "pca" else baselines.lda_fit(data, d)
     sklp_projection.save_model(model, args.out)
     _write_manifest(args.out, args, [args.data], [args.out], started)

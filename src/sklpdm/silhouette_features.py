@@ -13,10 +13,11 @@ translation of the silhouette moves the centroid by the same integers, so
 the re-centered coordinates - and therefore the sinogram and the feature
 vector - are bit-identical under in-frame shifts.
 
-Every re-centered pixel is a cell of the fixed centered H x W grid, so the
-bin of each cell at each angle is computed once per frame shape and
-configuration (`_bin_table`); a frame's sinogram is then one bincount over
-the table rows of its foreground cells.
+The displacement axis spans the image diagonal in ceil(diagonal) bins,
+forced odd so a central bin exists. Every re-centered pixel is a cell of
+the fixed centered H x W grid, so the bin of each cell at each angle is
+computed once per frame shape and angle count (`_bin_table`); a frame's
+sinogram is then one bincount over the table rows of its foreground cells.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
+from ._util import positive_int
 
 
 @dataclass(frozen=True)
@@ -44,37 +46,6 @@ class SilhouetteImage:
             raise DataError("pixels must be binary (0/1)")
         pixels.flags.writeable = False
         object.__setattr__(self, "pixels", pixels)
-
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
-    @property
-    def width(self):
-        return self.pixels.shape[1]
-
-
-@dataclass(frozen=True)
-class RadonConfig:
-    """angle_bins: theta samples over [0, pi); displacement_bins: rho bins
-    spanning the image diagonal, odd so a central bin exists (None = pick
-    per image: ceil(diagonal) forced odd)."""
-
-    angle_bins: int = 180
-    displacement_bins: int | None = None
-
-    def __post_init__(self):
-        if int(self.angle_bins) < 1:
-            raise DataError("angle_bins must be >= 1")
-        if self.displacement_bins is not None and int(self.displacement_bins) < 3:
-            raise DataError("displacement_bins must be >= 3")
-
-
-@dataclass(frozen=True)
-class RadonSinogram:
-    """T[rho_bin, angle_bin]: foreground mass per projection line."""
-
-    T: np.ndarray
 
 
 def load_pgm(path) -> SilhouetteImage:
@@ -164,8 +135,13 @@ def _centered_cells(image: SilhouetteImage):
     return fg[:, 0] * W + fg[:, 1]
 
 
+def _displacement_bins(H, W):
+    """Displacement bins of an H x W frame: ceil(diagonal), forced odd."""
+    return math.ceil(math.hypot(H, W)) | 1
+
+
 @functools.lru_cache(maxsize=4)
-def _bin_table(H, W, angle_bins, bins):
+def _bin_table(H, W, angle_bins):
     """Flat sinogram index of every cell of the centred H x W grid at every angle.
 
     Row h * W + w is the cell (i, j) = (h - (H-1)/2, w - (W-1)/2). Its entry
@@ -177,6 +153,7 @@ def _bin_table(H, W, angle_bins, bins):
     angles); the 4 most recently used are cached.
     """
     diagonal = math.hypot(H, W)
+    bins = _displacement_bins(H, W)
     angles = np.arange(angle_bins) * (math.pi / angle_bins)
     cos, sin = np.cos(angles), np.sin(angles)
     i, j = np.indices((H, W)).reshape(2, -1) - np.array([[(H - 1) / 2.0], [(W - 1) / 2.0]])
@@ -194,32 +171,33 @@ def _bin_table(H, W, angle_bins, bins):
     return table
 
 
-def radon(image: SilhouetteImage, config: RadonConfig | None = None) -> RadonSinogram:
-    """Nearest-bin discrete Radon transform of a binary silhouette."""
-    if config is None:
-        config = RadonConfig()
+def radon(image: SilhouetteImage, angle_bins=180):
+    """Nearest-bin discrete Radon transform of a binary silhouette.
+
+    Returns the float64 sinogram T[rho_bin, angle_bin]: the foreground mass
+    on each projection line, angle_bins samples of theta over [0, pi).
+    """
+    angle_bins = positive_int(angle_bins, "angle_bins")
     H, W = image.pixels.shape
-    A = config.angle_bins
-    bins = config.displacement_bins if config.displacement_bins is not None else (math.ceil(math.hypot(H, W)) | 1)
+    bins = _displacement_bins(H, W)
     cells = _centered_cells(image)
     if cells is None:
-        return RadonSinogram(T=np.zeros((bins, A)))
-    table = _bin_table(H, W, A, bins)
-    counts = np.bincount(table[cells].ravel(), minlength=bins * A)
-    return RadonSinogram(T=counts.reshape(bins, A).astype(np.float64))
+        return np.zeros((bins, angle_bins))
+    table = _bin_table(H, W, angle_bins)
+    counts = np.bincount(table[cells].ravel(), minlength=bins * angle_bins)
+    return counts.reshape(bins, angle_bins).astype(np.float64)
 
 
-def r_transform(sinogram: RadonSinogram):
+def r_transform(sinogram):
     """Unit-sum angle profile: per-angle sum of squared sinogram mass, normalized."""
-    squared = sinogram.T.astype(np.float64) ** 2
-    per_angle = squared.sum(axis=0)
+    per_angle = (sinogram**2).sum(axis=0)
     total = per_angle.sum()
     if total <= 0:
         raise NumericalError("all-zero sinogram: empty silhouette has no angle profile")
     return per_angle / total
 
 
-def sequence_features(frame_paths, config: RadonConfig | None = None):
+def sequence_features(frame_paths, angle_bins=180):
     """Feature matrix for an ordered frame list: column f is frame f's angle profile.
 
     Returns the angle_bins x F matrix. Per-frame failures are re-raised
@@ -228,13 +206,12 @@ def sequence_features(frame_paths, config: RadonConfig | None = None):
     frame_paths = list(frame_paths)
     if not frame_paths:
         raise DataError("sequence_features needs at least one frame")
-    if config is None:
-        config = RadonConfig()
+    angle_bins = positive_int(angle_bins, "angle_bins")
     columns = []
     for f, frame_path in enumerate(frame_paths):
         try:
             image = load_pgm(frame_path)
-            columns.append(r_transform(radon(image, config)))
+            columns.append(r_transform(radon(image, angle_bins)))
         except (DataError, NumericalError) as exc:
             reason = str(exc).removeprefix(f"{frame_path}: ")  # load_pgm names the path
             raise type(exc)(f"frame {f} ({frame_path}): {reason}") from exc

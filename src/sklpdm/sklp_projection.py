@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -75,18 +75,6 @@ class SklpConfig:
             if any(w <= 0 for w in weights):
                 raise DataError("class_weights must all be positive")
             object.__setattr__(self, "class_weights", weights)
-
-    def echo(self):
-        """Plain-dict hyperparameter echo for serialized models."""
-        return {
-            "rho": self.rho,
-            "class_weights": list(self.class_weights) if self.class_weights else None,
-            "kernel_bandwidth": self.kernel_bandwidth,
-            "target_dim": self.target_dim,
-            "learning_rate": self.learning_rate,
-            "max_iters": self.max_iters,
-            "rel_tolerance": self.rel_tolerance,
-        }
 
 
 @dataclass(frozen=True)
@@ -465,7 +453,7 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
         dim_in=dataset.dim,
         dim_out=state.best_matrix.shape[1],
         eigenvalues=state.eigenvalue_history[state.best_index],
-        config=config.echo(),
+        config=asdict(config),
     )
     return model, state
 

@@ -122,12 +122,12 @@ def jacobi_eigh(A, max_sweeps=200):
     return values[order], V[:, order]
 
 
-def radon_oracle(pixels, angle_bins, displacement_bins=None):
+def radon_oracle(pixels, angle_bins):
     """Scalar-loop silhouette projection with the integer centroid re-anchoring rule."""
     H, W = pixels.shape
     fg = [(i, j) for i in range(H) for j in range(W) if pixels[i, j] > 0]
     diag = math.hypot(H, W)
-    bins = displacement_bins if displacement_bins is not None else (math.ceil(diag) | 1)
+    bins = math.ceil(diag) | 1
     T = np.zeros((bins, angle_bins))
     if not fg:
         return T

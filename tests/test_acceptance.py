@@ -16,7 +16,6 @@ from sklpdm import (
     KnnConfig,
     LabeledDataset,
     PipelineConfig,
-    RadonConfig,
     SilhouetteImage,
     SklpConfig,
     SvmConfig,
@@ -229,16 +228,16 @@ def test_criterion_3_diffusion_contract():
 
 def test_criterion_4_angle_profile_contract():
     rng = np.random.default_rng(404)
-    config = RadonConfig(angle_bins=14)
+    angle_bins = 14
     for _ in range(100):
         H = int(rng.integers(6, 15))
         W = int(rng.integers(6, 15))
         pixels = (rng.random((H, W)) < 0.35).astype(np.uint8)
         if pixels.sum() == 0:
             pixels[H // 2, W // 2] = 1
-        sinogram = radon(SilhouetteImage(pixels), config)
+        sinogram = radon(SilhouetteImage(pixels), angle_bins)
         np.testing.assert_array_equal(
-            sinogram.T.sum(axis=0), np.full(config.angle_bins, float(pixels.sum()))
+            sinogram.sum(axis=0), np.full(angle_bins, float(pixels.sum()))
         )
         profile = r_transform(sinogram)
         assert abs(profile.sum() - 1.0) <= 1e-12
@@ -246,16 +245,16 @@ def test_criterion_4_angle_profile_contract():
     base = np.zeros((14, 14), dtype=np.uint8)
     base[3:8, 4:9] = (rng.random((5, 5)) < 0.6).astype(np.uint8)
     base[5, 6] = 1
-    reference = r_transform(radon(SilhouetteImage(base), config))
+    reference = r_transform(radon(SilhouetteImage(base), angle_bins))
     for di, dj in ((1, 0), (0, 1), (3, 2), (-3, 4), (6, -4), (2, 5)):
         shifted = np.roll(np.roll(base, di, axis=0), dj, axis=1)
-        moved = r_transform(radon(SilhouetteImage(shifted), config))
+        moved = r_transform(radon(SilhouetteImage(shifted), angle_bins))
         np.testing.assert_array_equal(moved, reference)
 
     single = np.zeros((9, 9), dtype=np.uint8)
     single[4, 4] = 1
-    uniform = r_transform(radon(SilhouetteImage(single), config))
-    assert np.all(uniform == 1.0 / config.angle_bins)
+    uniform = r_transform(radon(SilhouetteImage(single), angle_bins))
+    assert np.all(uniform == 1.0 / angle_bins)
     ok(4, "unit sums, exact shift invariance, exact mass conservation, uniform single pixel")
 
 
@@ -431,17 +430,16 @@ def test_criterion_8_oracle_equivalence():
         value = objective(M, labels, sigma, rho, weights)
         assert abs(value - expected) <= 1e-12 * (abs(expected) + 1.0)
 
-    config = RadonConfig(angle_bins=9)
     for _ in range(100):
         H = int(rng.integers(5, 12))
         W = int(rng.integers(5, 12))
         pixels = (rng.random((H, W)) < 0.4).astype(np.uint8)
         if pixels.sum() == 0:
             pixels[0, 0] = 1
-        sinogram = radon(SilhouetteImage(pixels), config)
-        np.testing.assert_array_equal(sinogram.T, radon_oracle(pixels, 9))
+        sinogram = radon(SilhouetteImage(pixels), 9)
+        np.testing.assert_array_equal(sinogram, radon_oracle(pixels, 9))
         np.testing.assert_allclose(
-            r_transform(sinogram), r_transform_oracle(sinogram.T), atol=1e-12
+            r_transform(sinogram), r_transform_oracle(sinogram), atol=1e-12
         )
     ok(8, "knn, confusion, voting, kernel averages, objective, radon profile vs oracles")
 

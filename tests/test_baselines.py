@@ -92,8 +92,10 @@ class TestLda:
 
     def test_d_capped_at_k_minus_one(self):
         data = gen_gaussian_classes(3, 10, 5, 1.0, 5.0, seed=1)
+        model = lda_fit(data, 3)
+        assert model.dim_out == 2 and model.matrix.shape == (5, 2)
         with pytest.raises(DataError):
-            lda_fit(data, 3)
+            lda_fit(data, 0)
 
     def test_orthonormal_columns_and_descending_values(self):
         data = gen_gaussian_classes(4, 20, 7, 1.0, 4.0, seed=2)

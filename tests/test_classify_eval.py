@@ -14,6 +14,8 @@ from sklpdm import (
     cross_validate_actions,
     gen_gaussian_classes,
     knn_predict,
+    pca_fit,
+    project,
     svm_fit,
     svm_predict,
     video_majority_vote,
@@ -239,6 +241,33 @@ class TestCrossValidate:
         )
         result = cross_validate_actions(data, pipeline)
         assert result.accuracy >= 0.9
+
+    def test_video_tally_matches_oracles(self):
+        # overlapping classes and 4-frame videos, so frame predictions mix and some votes tie
+        data = with_groups(gen_gaussian_classes(3, 16, 5, spread=1.0, separation=1.5, seed=5), 4)
+        ties = 0
+        for k in (1, 2):
+            pipeline = PipelineConfig(reduction="pca", knn=KnnConfig(k=k), sklp=SklpConfig(target_dim=2))
+            result = cross_validate_actions(data, pipeline)
+            counts = np.zeros((3, 3), dtype=np.int64)
+            fold_accuracies = []
+            for group in np.unique(data.groups):
+                train, test = data.groups != group, data.groups == group
+                model = pca_fit(data.features[:, train], 2)
+                predicted = knn_oracle(
+                    project(model, data.features[:, train]), data.labels[train],
+                    project(model, data.features[:, test]), k,
+                )
+                true = data.labels[test]
+                votes = vote_oracle(predicted.tolist(), true.tolist())  # the class is the video
+                for label, vote in votes.items():
+                    counts[label, vote] += 1
+                    tally = np.bincount(predicted[true == label])
+                    ties += int(np.sum(tally == tally.max()) > 1)
+                fold_accuracies.append(sum(vote == label for label, vote in votes.items()) / len(votes))
+            np.testing.assert_array_equal(result.confusion.counts, counts)
+            assert result.fold_accuracies == tuple(fold_accuracies)
+        assert ties > 0
 
     def test_missing_groups_rejected(self):
         data = gen_gaussian_classes(2, 10, 4, 1.0, 8.0, seed=4)

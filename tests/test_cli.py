@@ -61,6 +61,27 @@ class TestSynthAndFit:
             assert invoke("fit", kind, "--data", str(gaussian_csv), "--out", str(out)) == 0
             assert load_model(out).kind == kind
 
+    def test_fit_dim_capped_like_evaluate(self, tmp_path):
+        data = tmp_path / "g.csv"
+        assert invoke(
+            "synth", "gaussian", "--classes", "3", "--per-class", "12", "--dim", "8",
+            "--seed", "1", "--groups", "3", "--out", str(data),
+        ) == 0
+        dims = {}
+        for kind in ("pca", "lda"):
+            out = tmp_path / f"{kind}.json"
+            assert invoke("fit", kind, "--data", str(data), "--dim", "50", "--out", str(out)) == 0
+            dims[kind] = load_model(out).dim_out
+        report = tmp_path / "r.txt"
+        assert invoke(
+            "evaluate", "--data", str(data), "--pipeline", "pca", "--dim", "50",
+            "--report", str(report), "--confusion", str(tmp_path / "c.csv"),
+        ) == 0
+        echo = json.loads(report.read_text().splitlines()[-1].removeprefix("configuration: "))
+        # evaluate's diffusion dimension follows its capped projection dimension
+        assert echo["diffusion"]["embed_dim"] == 8
+        assert dims == {"pca": 8, "lda": 2}  # capped at the 8 features and at K - 1
+
     def test_documented_wiring_example(self, tmp_path):
         # synth gaussian with only classes/per-class/dim/seed, then fit sklp
         # with all defaults: both must exit 0 and yield an orthonormal model

@@ -1,13 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from sklpdm import (
     DataError,
     NumericalError,
-    RadonConfig,
-    RadonSinogram,
     SilhouetteImage,
     load_pgm,
     r_transform,
@@ -65,7 +61,7 @@ class TestLoadPgm:
         image = load_pgm(path)
         assert image.pixels.sum() == 0
         with pytest.raises(NumericalError, match="all-zero"):
-            r_transform(radon(image, RadonConfig(angle_bins=4)))
+            r_transform(radon(image, 4))
 
     def test_truncated_p5_names_byte_offset(self, tmp_path):
         pixels = np.ones((3, 3), dtype=np.uint8)
@@ -98,11 +94,11 @@ class TestRadon:
     def test_single_centered_pixel(self):
         pixels = np.zeros((7, 9), dtype=np.uint8)
         pixels[3, 4] = 1
-        sinogram = radon(SilhouetteImage(pixels), RadonConfig(angle_bins=8))
-        bins = sinogram.T.shape[0]
+        sinogram = radon(SilhouetteImage(pixels), 8)
+        bins = sinogram.shape[0]
         assert bins % 2 == 1
         for a in range(8):
-            column = sinogram.T[:, a]
+            column = sinogram[:, a]
             assert column.sum() == 1.0
             assert column[(bins - 1) // 2] == 1.0
 
@@ -111,58 +107,58 @@ class TestRadon:
         pixels = np.zeros((5, 1), dtype=np.uint8)
         pixels[1, 0] = 1
         pixels[3, 0] = 1
-        sinogram = radon(SilhouetteImage(pixels), RadonConfig(angle_bins=1, displacement_bins=7))
+        sinogram = radon(SilhouetteImage(pixels), 1)
+        assert sinogram.shape == (7, 1)  # ceil(hypot(5, 1)) = 6, forced odd
         diag = np.hypot(5, 1)
         step = diag / 6
         expected_bins = sorted(
             int(np.floor((rho + diag / 2) / step + 0.5)) for rho in (-1.0, 1.0)
         )
-        assert sorted(np.flatnonzero(sinogram.T[:, 0]).tolist()) == expected_bins
+        assert sorted(np.flatnonzero(sinogram[:, 0]).tolist()) == expected_bins
 
     def test_mass_conservation_random(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             pixels = random_silhouette(rng, 8, 9)
-            sinogram = radon(SilhouetteImage(pixels), RadonConfig(angle_bins=12))
+            sinogram = radon(SilhouetteImage(pixels), 12)
             count = float(pixels.sum())
-            np.testing.assert_array_equal(sinogram.T.sum(axis=0), np.full(12, count))
+            np.testing.assert_array_equal(sinogram.sum(axis=0), np.full(12, count))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             pixels = random_silhouette(rng)
-            ours = radon(SilhouetteImage(pixels), RadonConfig(angle_bins=9)).T
+            ours = radon(SilhouetteImage(pixels), 9)
             np.testing.assert_array_equal(ours, radon_oracle(pixels, 9))
 
     @pytest.mark.parametrize("shape", [(9, 7), (9, 8), (10, 7), (12, 10), (1, 6), (5, 1)])
-    @pytest.mark.parametrize("angle_bins, displacement_bins", [(1, None), (7, None), (180, None), (6, 3), (9, 41)])
-    def test_bit_equal_to_scalar_oracle(self, shape, angle_bins, displacement_bins):
-        rng = np.random.default_rng([*shape, angle_bins, displacement_bins or 0])
-        config = RadonConfig(angle_bins=angle_bins, displacement_bins=displacement_bins)
+    # ids read "<angle_bins>-None": None stands for the one displacement-bin rule, ceil(diagonal) | 1
+    @pytest.mark.parametrize("angle_bins", [1, 7, 180], ids=lambda a: f"{a}-None")
+    def test_bit_equal_to_scalar_oracle(self, shape, angle_bins):
+        rng = np.random.default_rng([*shape, angle_bins, 0])
         for density in (0.05, 0.4, 1.0):
             pixels = (rng.random(shape) < density).astype(np.uint8)
             pixels[0, -1] = 1  # a corner pixel pins the centroid shift against the clamp
-            ours = radon(SilhouetteImage(pixels), config).T
+            ours = radon(SilhouetteImage(pixels), angle_bins)
             assert ours.dtype == np.float64 and ours.flags.c_contiguous
-            np.testing.assert_array_equal(ours, radon_oracle(pixels, angle_bins, displacement_bins))
+            np.testing.assert_array_equal(ours, radon_oracle(pixels, angle_bins))
 
     def test_returned_sinogram_is_private(self):
         pixels = np.zeros((8, 6), dtype=np.uint8)
         pixels[2:5, 1:4] = 1
-        config = RadonConfig(angle_bins=5)
-        first = radon(SilhouetteImage(pixels), config).T
+        first = radon(SilhouetteImage(pixels), 5)
         expected = first.copy()
         first[:] = -1.0
-        np.testing.assert_array_equal(radon(SilhouetteImage(pixels), config).T, expected)
+        np.testing.assert_array_equal(radon(SilhouetteImage(pixels), 5), expected)
 
     def test_bin_table_cache_is_bounded_and_read_only(self):
         limit = _bin_table.cache_info().maxsize
         assert limit is not None
         for H in range(3, 3 + limit + 3):
             pixels = np.ones((H, 4), dtype=np.uint8)
-            radon(SilhouetteImage(pixels), RadonConfig(angle_bins=3))
+            radon(SilhouetteImage(pixels), 3)
             assert _bin_table.cache_info().currsize <= limit
-        table = _bin_table(H, 4, 3, math.ceil(math.hypot(H, 4)) | 1)
+        table = _bin_table(H, 4, 3)
         assert table.shape == (H * 4, 3) and table.dtype == np.int32
         with pytest.raises(ValueError):
             table[0, 0] = 0
@@ -172,14 +168,14 @@ class TestRTransform:
     def test_single_pixel_uniform(self):
         pixels = np.zeros((5, 5), dtype=np.uint8)
         pixels[2, 2] = 1
-        profile = r_transform(radon(SilhouetteImage(pixels), RadonConfig(angle_bins=6)))
+        profile = r_transform(radon(SilhouetteImage(pixels), 6))
         assert np.all(profile == 1.0 / 6.0)
 
     def test_unit_sum(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             pixels = random_silhouette(rng)
-            profile = r_transform(radon(SilhouetteImage(pixels), RadonConfig(angle_bins=15)))
+            profile = r_transform(radon(SilhouetteImage(pixels), 15))
             assert abs(profile.sum() - 1.0) <= 1e-12
             assert np.all(profile >= 0)
 
@@ -189,11 +185,10 @@ class TestRTransform:
         pixels[3, 3] = 1
         pixels[4, 3] = 1
         pixels[4, 4] = 1
-        config = RadonConfig(angle_bins=4, displacement_bins=15)
-        profile = r_transform(radon(SilhouetteImage(pixels), config))
+        profile = r_transform(radon(SilhouetteImage(pixels), 4))
         frozen = np.array([5.0, 3.0, 5.0, 5.0]) / 18.0
         np.testing.assert_allclose(profile, frozen, atol=1e-12)
-        oracle = r_transform_oracle(radon_oracle(pixels, 4, 15))
+        oracle = r_transform_oracle(radon_oracle(pixels, 4))
         np.testing.assert_allclose(profile, oracle, atol=1e-12)
 
     def test_translation_invariance_exact(self):
@@ -203,11 +198,11 @@ class TestRTransform:
             base[3:7, 4:8] = (rng.random((4, 4)) < 0.6).astype(np.uint8)
             if base.sum() == 0:
                 base[4, 5] = 1
-            config = RadonConfig(angle_bins=10)
-            reference = r_transform(radon(SilhouetteImage(base), config))
+            angle_bins = 10
+            reference = r_transform(radon(SilhouetteImage(base), angle_bins))
             for di, dj in ((1, 0), (0, 1), (2, 3), (-3, 2), (5, -4)):
                 shifted = np.roll(np.roll(base, di, axis=0), dj, axis=1)
-                moved = r_transform(radon(SilhouetteImage(shifted), config))
+                moved = r_transform(radon(SilhouetteImage(shifted), angle_bins))
                 np.testing.assert_array_equal(moved, reference)
 
 
@@ -216,46 +211,46 @@ class TestSequenceFeatures:
         pixels = np.zeros((5, 5), dtype=np.uint8)
         pixels[2, 2] = 1
         path = write_p2(tmp_path / "f.pgm", pixels)
-        matrix = sequence_features([path], RadonConfig(angle_bins=4))
+        matrix = sequence_features([path], 4)
         assert matrix.shape == (4, 1)
 
     def test_duplicate_frames_duplicate_columns(self, tmp_path):
         rng = np.random.default_rng(4)
         path = write_p2(tmp_path / "f.pgm", random_silhouette(rng, 6, 8))
-        matrix = sequence_features([path, path], RadonConfig(angle_bins=6))
+        matrix = sequence_features([path, path], 6)
         assert matrix.shape == (6, 2)
         np.testing.assert_array_equal(matrix[:, 0], matrix[:, 1])
 
     def test_translating_square_constant_features(self, tmp_path):
-        config = RadonConfig(angle_bins=12)
+        angle_bins = 12
         paths = []
         for f in range(5):
             pixels = np.zeros((16, 16), dtype=np.uint8)
             pixels[2 + f : 6 + f, 3 + f : 7 + f] = 1
             paths.append(write_p2(tmp_path / f"sq{f}.pgm", pixels))
-        matrix = sequence_features(paths, config)
+        matrix = sequence_features(paths, angle_bins)
         assert matrix.shape == (12, 5)
         for f in range(1, 5):
             assert np.max(np.abs(matrix[:, f] - matrix[:, 0])) <= 1e-12
 
     def test_two_frame_shapes(self, tmp_path):
         rng = np.random.default_rng(6)
-        config = RadonConfig(angle_bins=8)
+        angle_bins = 8
         frames = [(rng.random(shape) < 0.3).astype(np.uint8) for shape in ((7, 8), (11, 12), (7, 8))]
         for pixels in frames:
             pixels[3, 4] = 1
         paths = [write_p2(tmp_path / f"f{f}.pgm", pixels) for f, pixels in enumerate(frames)]
-        matrix = sequence_features(paths, config)
+        matrix = sequence_features(paths, angle_bins)
         assert matrix.shape == (8, 3)
         for f, pixels in enumerate(frames):
-            expected = r_transform(RadonSinogram(T=radon_oracle(pixels, 8)))
+            expected = r_transform(radon_oracle(pixels, 8))
             np.testing.assert_array_equal(matrix[:, f], expected)
 
     def test_error_names_frame_index(self, tmp_path):
         good = write_p2(tmp_path / "g.pgm", np.ones((3, 3), dtype=int))
         with pytest.raises(DataError, match="frame 1"):
-            sequence_features([good, tmp_path / "missing.pgm"], RadonConfig(angle_bins=4))
+            sequence_features([good, tmp_path / "missing.pgm"], 4)
 
     def test_empty_list_rejected(self):
         with pytest.raises(DataError):
-            sequence_features([], RadonConfig(angle_bins=4))
+            sequence_features([], 4)

@@ -382,10 +382,10 @@ class TestFit:
     def test_integral_float_target_dim_becomes_int(self):
         data = gen_gaussian_classes(4, 20, 6, 1.0, 5.0, seed=0)
         config = SklpConfig(rho=0.6, target_dim=2.0, max_iters=3.0)
-        assert type(config.target_dim) is int and config.echo()["target_dim"] == 2
-        assert type(config.max_iters) is int
+        assert type(config.target_dim) is int and type(config.max_iters) is int
         model, _ = fit(data, config)
         assert model.dim_out == 2
+        assert type(model.config["target_dim"]) is int and model.config["target_dim"] == 2
 
     def test_projection_helps_separated_classes(self):
         wins = 0

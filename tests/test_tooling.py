@@ -2,14 +2,16 @@
 
 The benchmark's tracer (bench/tracing.py) wraps the functions listed in its
 TRACED table, and a traced run fails when a listed function is missing or
-records no calls. These checks catch a removed or renamed name, or an SKLP
-layer the fit no longer calls, here, in the fast test run, instead of only
-in the benchmark smoke tests.
+records no calls. These checks catch a removed or renamed name, a changed
+signature, or a layer the pipeline no longer calls, here, in the fast test
+run, instead of only in the benchmark smoke tests.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 import sklpdm
 
@@ -49,6 +51,32 @@ def test_every_traced_sklp_layer_records_calls():
     layers = [name for (module, _), name in tracing.TRACED.items() if module == "sklp_projection"]
     assert layers
     assert [name for name in layers if not tracer.calls.get(name)] == []
+
+
+def test_every_traced_layer_records_calls(tmp_path):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    frames = []
+    for f, rows in enumerate(("0 1 0\n1 1 0\n0 1 1", "1 1 0\n0 1 0\n0 0 0")):
+        frames.append(tmp_path / f"f{f}.pgm")
+        frames[-1].write_text(f"P2\n3 3\n1\n{rows}\n")
+    data = sklpdm.with_groups(sklpdm.gen_gaussian_classes(3, 8, 4, 1.0, 6.0, seed=0), 2)
+    pipeline = sklpdm.PipelineConfig(reduction="sklp+dm", sklp=sklpdm.SklpConfig(rho=0.5, max_iters=2))
+    tracer.install()
+    try:
+        # through the module attributes, which install() replaced
+        features = sklpdm.silhouette_features.sequence_features(frames, 4)
+        sklpdm.dataset.save_csv(data, tmp_path / "d.csv")
+        loaded = sklpdm.dataset.load_csv(tmp_path / "d.csv")
+        sklpdm.classify_eval.cross_validate_actions(loaded, pipeline)
+        sklpdm.classify_eval.svm_fit((loaded.features, loaded.labels), sklpdm.SvmConfig(epochs=2))
+        model = sklpdm.diffusion_map.fit(loaded.features, pipeline.diffusion)
+        sklpdm.diffusion_map.save_model_json(model, tmp_path / "dm.json")
+    finally:
+        tracer.uninstall()
+    assert features.shape == (4, 2)
+    np.testing.assert_array_equal(loaded.features, data.features)
+    assert [name for name in tracing.TRACED.values() if not tracer.calls.get(name)] == []
 
 
 def test_every_public_name_resolves():
