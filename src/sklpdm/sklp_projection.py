@@ -33,6 +33,8 @@ from ._util import atomic_write_text, positive_int
 
 MODEL_KINDS = ("sklp", "pca", "lda")
 
+_TILE_FLOATS = 1 << 16  # floats in one row tile of the distance update
+
 
 @dataclass(frozen=True)
 class SklpConfig:
@@ -190,6 +192,25 @@ def _class_weights(config, labels, class_count):
     return weights
 
 
+def _sq_distances_into(out, scratch, points, others):
+    """out[i, j] = sum_d (points[d, i] - others[d, j])^2, summed in feature order; returns out.
+
+    The first feature row's term goes straight into out (0 + s == s); each
+    later row's term is formed in scratch, of out's shape, and added.
+    """
+    rows = zip(points, others, strict=True)
+    first = next(rows, None)
+    if first is None:
+        out.fill(0.0)
+        return out
+    np.subtract(first[0][:, None], first[1][None, :], out=out)
+    np.multiply(out, out, out=out)
+    for a, b in rows:
+        np.subtract(a[:, None], b[None, :], out=scratch)
+        out += np.multiply(scratch, scratch, out=scratch)
+    return out
+
+
 def pairwise_sq_distances(points, others=None):
     """Squared distances between columns, sum_d (points[d, i] - others[d, j])^2 in feature order.
 
@@ -197,21 +218,25 @@ def pairwise_sq_distances(points, others=None):
     tensor. others=None gives the self case: exactly symmetric, zero diagonal.
     """
     others = points if others is None else others
-    out = np.zeros((points.shape[1], others.shape[1]))
-    scratch = np.empty_like(out)
-    for a, b in zip(points, others, strict=True):
-        np.subtract(a[:, None], b[None, :], out=scratch)
-        out += np.multiply(scratch, scratch, out=scratch)
-    return out
+    out = np.empty((points.shape[1], others.shape[1]))
+    return _sq_distances_into(out, np.empty_like(out), points, others)
 
 
 def bandwidth(M, setting):
-    """Kernel sigma: `setting` itself, or for "auto" the median pairwise distance sqrt(M_ij), i < j."""
+    """Kernel sigma: `setting` itself, or for "auto" the median pairwise distance sqrt(M_ij), i < j.
+
+    The median is taken as np.median takes it, from the one or two middle
+    order statistics, without index arrays or a sorted copy.
+    """
     if setting != "auto":
         return float(setting)
-    if M.shape[0] < 2:
+    n = M.shape[0]
+    if n < 2:
         raise DataError("need at least 2 points")
-    sigma = float(np.median(np.sqrt(M[np.triu_indices(M.shape[0], 1)])))
+    upper = M[np.arange(n)[:, None] < np.arange(n)[None, :]]  # i < j, row-major
+    middle = [len(upper) // 2] if len(upper) % 2 else [len(upper) // 2 - 1, len(upper) // 2]
+    upper.partition(middle)
+    sigma = float(np.mean(np.sqrt(upper[middle])))
     if sigma <= 0:
         raise NumericalError("median pairwise distance is zero: bandwidth degenerate")
     return sigma
@@ -227,16 +252,20 @@ def _one_hot(labels, class_count):
     return (labels[:, None] == np.arange(class_count)[None, :]).astype(np.float64)
 
 
-def _kernel_sums(M, labels, class_count, sigma):
+def _kernel_sums(M, labels, class_count, sigma, kernels=None):
     """Kernel sums over ordered pairs i != j, read off the class blocks of Y^T K Y.
 
     Returns (intra, inter, n_k, n_o): intra[k] sums the pairs inside class
     k, inter the pairs across classes; n_k and n_o count those pairs.
+    The kernel matrix exp(-M / sigma^2) is built in `kernels` (an array of
+    M's shape, overwritten) when given, else in a fresh one.
     """
     n_k, n_o = _pair_counts(labels, class_count)
     if n_o == 0:
         raise NumericalError("no inter-class pairs: need at least 2 classes")
-    kernels = np.exp(-M / (sigma * sigma))
+    kernels = np.negative(M, out=kernels)
+    kernels /= sigma * sigma
+    np.exp(kernels, out=kernels)
     np.fill_diagonal(kernels, 0.0)  # ordered pairs with i != j only
     Y = _one_hot(labels, class_count)
     blocks = Y.T @ kernels @ Y
@@ -348,18 +377,42 @@ def objective(M, labels, sigma, rho, weights):
     return _objective_value(intra, inter, rho, np.asarray(weights, dtype=np.float64))
 
 
-def update_distances(M, P, X, learning_rate):
-    """Relax M toward the squared distances of the projection P^T X: M + eta * (d_P - M)."""
+def _tile_rows(n):
+    """Rows per tile of an n-column distance update: at most _TILE_FLOATS floats, at most n // 2 rows.
+
+    Two such tiles fit in one n x n buffer for every n >= 2.
+    """
+    return max(1, min(_TILE_FLOATS // n, n // 2))
+
+
+def update_distances(M, P, X, learning_rate, scratch=None):
+    """Relax M in place toward the squared distances of the projection P^T X: M + eta * (d_P - M).
+
+    Returns M. The update runs one row tile (at most 2**16 floats) at a
+    time, so beyond M it needs two tiles and the d x n projection. The tiles
+    are carved from `scratch` (a float64 array, overwritten) when it holds
+    enough floats, as any n x n array does for n >= 2; else they are allocated.
+    """
     if not 0.0 < learning_rate <= 1.0:
         raise DataError("learning_rate must lie in (0, 1]")
     projected = P.T @ np.asarray(X, dtype=np.float64)
-    target = pairwise_sq_distances(projected)
-    if learning_rate == 1.0:
-        return target  # full step is exact, no cancellation residue
-    target -= M  # M + eta * (target - M), in place in the fresh target
-    target *= learning_rate
-    target += M
-    return target
+    n = projected.shape[1]
+    rows = _tile_rows(n)
+    if scratch is None or scratch.size < 2 * rows * n:
+        scratch = np.empty(2 * rows * n)
+    flat = scratch.reshape(-1)
+    for start in range(0, n, rows):
+        block = M[start:start + rows]
+        tiles = flat[:2 * block.size].reshape(2, *block.shape)
+        points = projected[:, start:start + rows]
+        if learning_rate == 1.0:  # full step is exact, no cancellation residue
+            _sq_distances_into(block, tiles[1], points, projected)
+            continue
+        target = _sq_distances_into(tiles[0], tiles[1], points, projected)
+        target -= block  # M + eta * (target - M)
+        target *= learning_rate
+        block += target
+    return M
 
 
 def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
@@ -425,14 +478,22 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
 
     previous = state.objective_history[0]
     averages = state.m_c, state.m_o
+    # the fit's only n x n buffer besides M: distance-update tiles, then the kernel matrix
+    kernels = np.empty_like(state.M)
     for t in range(1, config.max_iters + 1):
         state.m_c, state.m_o = averages
         W = alpha_weights(state.m_c, state.m_o, config.rho, state.class_weights)
         scatter = scatter_matrix(X, labels, W)
-        values, P = solve_eig(scatter, d)
-        state.M = update_distances(state.M, P, X, config.learning_rate)
+        try:
+            values, P = solve_eig(scatter, d)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"iteration {t} with rho={config.rho}: {exc}; a larger rho weights "
+                "the inter-class term more"
+            ) from exc
+        update_distances(state.M, P, X, config.learning_rate, scratch=kernels)
         # one exp(-M / sigma^2) gives this objective and the next iteration's averages
-        sums = _kernel_sums(state.M, labels, K, state.sigma)
+        sums = _kernel_sums(state.M, labels, K, state.sigma, kernels=kernels)
         current = _objective_value(sums[0], sums[1], config.rho, state.class_weights)
         averages = _averages(*sums)
         state.objective_history.append(current)

@@ -16,6 +16,7 @@ from sklpdm import (
     fit,
     diffusion_map,
     gen_gaussian_classes,
+    gen_ring_classes,
     init_state,
     knn_predict,
     kernel_averages,
@@ -29,6 +30,8 @@ from sklpdm import (
 )
 from sklpdm.sklp_projection import (
     ProjectionModel,
+    _tile_rows,
+    bandwidth,
     default_class_weights,
     output_dim,
     pairwise_sq_distances,
@@ -97,6 +100,15 @@ class TestInitState:
         values, vectors = jacobi_eigh(cov)
         projected = vectors[:, :d].T @ data.features
         assert state.sigma == pytest.approx(median_pairwise_oracle(projected), rel=1e-9)
+
+    def test_auto_bandwidth_equals_numpy_median(self):
+        """Odd and even pair counts, and tied distances from integer points."""
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 4, 5, 50, 250, 251, 300, 1000):
+            for points in (rng.standard_normal((3, n)), rng.integers(0, 4, (2, n)).astype(float)):
+                M = pairwise_sq_distances(points)
+                expected = float(np.median(np.sqrt(M[np.triu_indices(n, 1)])))
+                assert bandwidth(M, "auto") == expected
 
 
 class TestKernelAverages:
@@ -241,7 +253,7 @@ class TestPairwiseSqDistances:
 
     def test_bit_identical_to_broadcast_reference(self):
         rng = np.random.default_rng(41)
-        shapes = [(1, 1, 1), (1, 5, 3), (3, 1, 9), (2, 7, 1), (3, 7, 11), (180, 24, 30)]
+        shapes = [(0, 2, 3), (1, 1, 1), (1, 5, 3), (3, 1, 9), (2, 7, 1), (3, 7, 11), (180, 24, 30)]
         shapes += [tuple(int(v) for v in rng.integers(1, 40, 3)) for _ in range(20)]
         for D, m, n in shapes:
             scale = 10.0 ** rng.uniform(-3, 3)
@@ -353,7 +365,7 @@ class TestUpdateDistances:
         X = rng.standard_normal((3, 5))
         model = self.make_model(3, 2, rng)
         M = pairwise_sq_distances(model.matrix.T @ X)
-        np.testing.assert_array_equal(update_distances(M, model.matrix, X, 0.3), M)
+        np.testing.assert_array_equal(update_distances(M.copy(), model.matrix, X, 0.3), M)
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(10)
@@ -361,10 +373,31 @@ class TestUpdateDistances:
         model = self.make_model(5, 3, rng)
         M = pairwise_sq_distances(X) * rng.uniform(0.5, 2.0)
         target = pairwise_sq_distances(model.matrix.T @ X)
-        updated = update_distances(M, model.matrix, X, 0.4)
+        updated = update_distances(M.copy(), model.matrix, X, 0.4)
         low = np.minimum(M, target) - 1e-12
         high = np.maximum(M, target) + 1e-12
         assert np.all(updated >= low) and np.all(updated <= high)
+
+    def test_tiled_in_place_update_matches_whole_matrix_arithmetic(self):
+        rng = np.random.default_rng(11)
+        n = 301
+        rows = _tile_rows(n)
+        assert n // rows >= 2 and n % rows != 0  # at least 3 tiles, the last one ragged
+        X = rng.standard_normal((6, n))
+        model = self.make_model(6, 3, rng)
+        M0 = pairwise_sq_distances(X) * 0.7
+        for eta in (0.1, 0.37, 1.0):
+            expected = pairwise_sq_distances(model.matrix.T @ X)
+            if eta < 1.0:
+                expected -= M0
+                expected *= eta
+                expected += M0
+            for scratch in (None, np.empty((n, n))):
+                M = M0.copy()
+                updated = update_distances(M, model.matrix, X, eta, scratch=scratch)
+                assert updated is M
+                assert np.array_equal(M, expected)
+                assert np.array_equal(M, M.T) and np.all(np.diag(M) == 0.0)
 
 
 class TestFit:
@@ -425,6 +458,49 @@ class TestFit:
                 q, _ = np.linalg.qr(rng.standard_normal((5, P.shape[1])))
                 assert best >= np.trace(q.T @ A @ q) - 1e-9
             state.M = update_distances(state.M, P, data.features, config.learning_rate)
+
+    def test_fused_loop_matches_public_stages(self):
+        """fit's loop is bit for bit the public stages run by hand."""
+        data = gen_ring_classes(7, 43, 0.4, 12, 5)
+        config = SklpConfig(rho=0.6, max_iters=8, rel_tolerance=1e-300)
+        model, fitted = fit(data, config)
+        assert data.sample_count == 301 and fitted.iteration == 8
+        state = init_state(data, config)
+        d = output_dim(config.target_dim, data.class_count, data.dim, data.sample_count)
+        best_matrix = state.best_matrix
+        for _ in range(config.max_iters):
+            m_c, m_o = kernel_averages(state.M, data.labels, state.sigma)
+            W = alpha_weights(m_c, m_o, config.rho, state.class_weights)
+            A = scatter_matrix(data.features, data.labels, W)
+            _, P = solve_eig(A, d)
+            state.M = update_distances(state.M, P, data.features, config.learning_rate)
+            J = objective(state.M, data.labels, state.sigma, config.rho, state.class_weights)
+            if J > max(state.objective_history):
+                best_matrix = P
+            state.objective_history.append(J)
+        assert fitted.objective_history == state.objective_history
+        assert np.array_equal(fitted.M, state.M)
+        assert np.array_equal(fitted.best_matrix, best_matrix)
+        assert np.array_equal(model.matrix, best_matrix)
+
+    def test_fit_holds_two_n_by_n_arrays(self):
+        """M and one kernel buffer; the update works in row tiles and builds the kernel in place."""
+        data = gen_ring_classes(5, 120, 0.4, 60, 1)
+        n = data.sample_count
+        assert (n, data.dim, data.class_count) == (600, 60, 5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit(data, SklpConfig(rho=0.6, max_iters=5, rel_tolerance=1e-300))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * n * n * 8, f"fit peaked at {peak / (n * n * 8):.2f} n^2 floats"
+
+    def test_degenerate_scatter_names_iteration_and_rho(self):
+        data = gen_ring_classes(4, 150, 0.4, 60, 0)
+        with pytest.raises(NumericalError, match=r"iteration 1 with rho=0\.1: .*larger rho"):
+            fit(data)
 
     def test_single_iteration_contract(self):
         data = gen_gaussian_classes(3, 15, 6, 1.0, 8.0, seed=4)
