@@ -203,7 +203,7 @@ def _parse_frame_manifest(args):
     try:
         with open(args.manifest, "r", encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {args.manifest}: {exc}") from exc
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:

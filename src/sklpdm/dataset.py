@@ -110,28 +110,109 @@ def load_csv(path) -> LabeledDataset:
     Labels are re-indexed to dense ids in first-appearance order; feature
     columns keep header order. Errors report the offending data row
     (1-based) and column name.
+
+    A plain file is streamed once to check its lines and collect the label
+    and group fields, and its feature columns are then parsed by numpy's C
+    reader, which converts each cell as float() does. Any other file, and
+    any file that reader rejects, is parsed row by row with the csv module.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
+            table = _read_plain(handle)
+            if table is None:
+                handle.seek(0)
+                table = _read_rows(path, handle)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    values, labels, groups = table
+    return from_names(values.T, labels, groups)
+
+
+def _columns(header):
+    """(label column, group column or None, feature columns) of a header holding `label`."""
+    label_col = header.index("label")
+    group_col = header.index("group") if "group" in header else None
+    return label_col, group_col, [c for c in range(len(header)) if c != label_col and c != group_col]
+
+
+def _read_rows(path, handle):
+    """(n x D values, labels, groups or None) of any CSV file, read with the csv module."""
+    rows = list(csv.reader(handle))
     if not rows:
         raise DataError(f"{path}: empty file")
     header = rows[0]
     if "label" not in header:
         raise DataError(f"{path}: missing `label` column")
-    label_col = header.index("label")
-    group_col = header.index("group") if "group" in header else None
-    feature_cols = [c for c in range(len(header)) if c != label_col and c != group_col]
+    label_col, group_col, feature_cols = _columns(header)
     body = rows[1:]
     if not body:
         raise DataError(f"{path}: no data rows")
-
     values = _parse_features(path, header, body, feature_cols)
     labels = [row[label_col] for row in body]
     groups = [row[group_col] for row in body] if group_col is not None else None
-    return from_names(values.T, labels, groups)
+    return values, labels, groups
+
+
+# Lines holding one of these need the csv module: a quote or carriage return
+# changes how fields split, and numpy's float parser strips \x1c-\x1f as
+# whitespace where float() rejects them.
+_NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
+
+
+def _is_plain(line):
+    # six `in` scans run at memchr speed; one regex character-class search took 3x longer
+    return not any(char in line for char in _NOT_PLAIN)
+
+
+def _field_reader(col, last):
+    """Function giving field `col` of a line of fields 0..last, split from the nearer end."""
+    if col <= last - col:
+        return lambda line: line.split(",", col + 1)[col].removesuffix("\n")
+    return lambda line: line.rsplit(",", last - col + 1)[1].removesuffix("\n")
+
+
+def _read_plain(handle):
+    """(n x D values, labels, groups or None) of a plain CSV file, else None.
+
+    Plain means every line has exactly one comma fewer than the header has
+    fields and none of the _NOT_PLAIN characters, there is at least one data
+    row and one feature column, and every feature cell is a finite number
+    numpy's C reader parses. Python picks out only the label and group
+    fields; no other cell becomes a Python object of its own.
+    """
+    first = handle.readline()
+    if not first or not _is_plain(first):
+        return None
+    header = next(csv.reader([first]))
+    if "label" not in header:
+        return None
+    label_col, group_col, feature_cols = _columns(header)
+    if not feature_cols:
+        return None
+    last = len(header) - 1
+    label_at = _field_reader(label_col, last)
+    group_at = _field_reader(group_col, last) if group_col is not None else None
+    labels = []
+    groups = [] if group_at else None
+    for line in handle:
+        if line.count(",") != last or not _is_plain(line):
+            return None
+        labels.append(label_at(line))
+        if group_at:
+            groups.append(group_at(line))
+    if not labels:
+        return None
+    handle.seek(0)
+    try:
+        values = np.loadtxt(
+            handle, delimiter=",", comments=None, quotechar=None, skiprows=1,
+            usecols=feature_cols, ndmin=2, dtype=np.float64,
+        )
+    except ValueError:  # a bad cell, which the csv path reports, or one like 1_000 that float() reads
+        return None
+    if values.shape[0] != len(labels) or not np.isfinite(values).all():
+        return None
+    return values, labels, groups
 
 
 def from_names(features, labels, groups=None) -> LabeledDataset:

@@ -214,12 +214,19 @@ def _sq_distances_into(out, scratch, points, others):
 def pairwise_sq_distances(points, others=None):
     """Squared distances between columns, sum_d (points[d, i] - others[d, j])^2 in feature order.
 
-    Memory is the m x n output plus one m x n scratch buffer, never a D x m x n
-    tensor. others=None gives the self case: exactly symmetric, zero diagonal.
+    The m x n output is filled one row tile (at most 2**16 floats) at a time,
+    so memory beyond it is one tile of scratch, never a D x m x n tensor.
+    others=None gives the self case: exactly symmetric, zero diagonal.
     """
     others = points if others is None else others
-    out = np.empty((points.shape[1], others.shape[1]))
-    return _sq_distances_into(out, np.empty_like(out), points, others)
+    m, n = points.shape[1], others.shape[1]
+    out = np.empty((m, n))
+    rows = _tile_rows(n, m)
+    scratch = np.empty((rows, n))
+    for start in range(0, m, rows):
+        block = out[start:start + rows]
+        _sq_distances_into(block, scratch[:len(block)], points[:, start:start + rows], others)
+    return out
 
 
 def bandwidth(M, setting):
@@ -233,7 +240,11 @@ def bandwidth(M, setting):
     n = M.shape[0]
     if n < 2:
         raise DataError("need at least 2 points")
-    upper = M[np.arange(n)[:, None] < np.arange(n)[None, :]]  # i < j, row-major
+    upper = np.empty(n * (n - 1) // 2)  # M_ij for i < j, row-major
+    start = 0
+    for i in range(n - 1):
+        upper[start:start + n - 1 - i] = M[i, i + 1:]
+        start += n - 1 - i
     middle = [len(upper) // 2] if len(upper) % 2 else [len(upper) // 2 - 1, len(upper) // 2]
     upper.partition(middle)
     sigma = float(np.mean(np.sqrt(upper[middle])))
@@ -377,12 +388,9 @@ def objective(M, labels, sigma, rho, weights):
     return _objective_value(intra, inter, rho, np.asarray(weights, dtype=np.float64))
 
 
-def _tile_rows(n):
-    """Rows per tile of an n-column distance update: at most _TILE_FLOATS floats, at most n // 2 rows.
-
-    Two such tiles fit in one n x n buffer for every n >= 2.
-    """
-    return max(1, min(_TILE_FLOATS // n, n // 2))
+def _tile_rows(n, cap):
+    """Rows per tile of an n-column distance array: at most _TILE_FLOATS floats and `cap` rows, at least 1."""
+    return max(1, min(_TILE_FLOATS // max(n, 1), cap))
 
 
 def update_distances(M, P, X, learning_rate, scratch=None):
@@ -397,7 +405,7 @@ def update_distances(M, P, X, learning_rate, scratch=None):
         raise DataError("learning_rate must lie in (0, 1]")
     projected = P.T @ np.asarray(X, dtype=np.float64)
     n = projected.shape[1]
-    rows = _tile_rows(n)
+    rows = _tile_rows(n, n // 2)  # two tiles fit in one n x n buffer for every n >= 2
     if scratch is None or scratch.size < 2 * rows * n:
         scratch = np.empty(2 * rows * n)
     flat = scratch.reshape(-1)
@@ -550,7 +558,7 @@ def load_model(path) -> ProjectionModel:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed model file: {exc}") from exc

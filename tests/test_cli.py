@@ -55,6 +55,20 @@ class TestSynthAndFit:
             "fit", "pca", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "m.json")
         ) == 2
 
+    def test_non_utf8_data_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("label,f0\ncaf\u00e9,1\nthé,2\n".encode("latin-1"))
+        assert invoke("fit", "pca", "--data", str(data), "--out", str(tmp_path / "m.json")) == 2
+        assert f"cannot read {data}" in capsys.readouterr().err
+
+    def test_non_utf8_model_exits_2(self, tmp_path, capsys, gaussian_csv):
+        model = tmp_path / "bad.json"
+        model.write_bytes('{"kind": "pca \u00e9"}'.encode("latin-1"))
+        assert invoke(
+            "project", "--model", str(model), "--data", str(gaussian_csv), "--out", str(tmp_path / "p.csv")
+        ) == 2
+        assert f"cannot read {model}" in capsys.readouterr().err
+
     def test_fit_pca_and_lda(self, tmp_path, gaussian_csv):
         for kind in ("pca", "lda"):
             out = tmp_path / f"{kind}.json"
@@ -378,6 +392,12 @@ class TestRadonCommand:
         manifest = tmp_path / "bad.csv"
         manifest.write_text("path\nframe.pgm\n")
         assert invoke("radon", "--manifest", str(manifest), "--out", str(tmp_path / "o.csv")) == 2
+
+    def test_non_utf8_manifest_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "latin1.csv"
+        manifest.write_bytes("path,label\nf.pgm,saut\u00e9\n".encode("latin-1"))
+        assert invoke("radon", "--manifest", str(manifest), "--out", str(tmp_path / "o.csv")) == 2
+        assert f"cannot read {manifest}" in capsys.readouterr().err
 
     def test_plain_path_list_with_flags(self, tmp_path):
         pixels = np.zeros((6, 6), dtype=np.uint8)

@@ -255,6 +255,11 @@ class TestPairwiseSqDistances:
         rng = np.random.default_rng(41)
         shapes = [(0, 2, 3), (1, 1, 1), (1, 5, 3), (3, 1, 9), (2, 7, 1), (3, 7, 11), (180, 24, 30)]
         shapes += [tuple(int(v) for v in rng.integers(1, 40, 3)) for _ in range(20)]
+        # m x n = 150 x 1000, and 301 x 301 in the self case: several row tiles, the last one ragged
+        for m, n in ((150, 1000), (301, 301)):
+            rows = _tile_rows(n, m)
+            assert rows < m and m % rows
+        shapes += [(3, 150, 1000), (2, 301, 5)]
         for D, m, n in shapes:
             scale = 10.0 ** rng.uniform(-3, 3)
             points = rng.standard_normal((D, m)) * scale
@@ -381,7 +386,7 @@ class TestUpdateDistances:
     def test_tiled_in_place_update_matches_whole_matrix_arithmetic(self):
         rng = np.random.default_rng(11)
         n = 301
-        rows = _tile_rows(n)
+        rows = _tile_rows(n, n // 2)
         assert n // rows >= 2 and n % rows != 0  # at least 3 tiles, the last one ragged
         X = rng.standard_normal((6, n))
         model = self.make_model(6, 3, rng)
