@@ -33,7 +33,6 @@ def pca_fit(X, d) -> ProjectionModel:
         dim_out=d,
         eigenvalues=values[:d],
         mean=mean,
-        config={"target_dim": d},
     )
 
 
@@ -85,5 +84,5 @@ def lda_fit(dataset: LabeledDataset, d) -> ProjectionModel:
         dim_in=D,
         dim_out=vectors.shape[1],
         eigenvalues=values,
-        config={"target_dim": d, "ridge": gamma},
+        config={"ridge": gamma},
     )

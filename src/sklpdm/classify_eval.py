@@ -45,12 +45,14 @@ class SvmConfig:
 
 @dataclass(frozen=True)
 class SvmModel:
-    """One-vs-rest linear classifiers: scores = weights @ x + biases."""
+    """One-vs-rest linear classifiers: scores = weights @ x + biases.
+
+    weights is K x D and biases has length K; objective_histories holds
+    each binary classifier's per-epoch hinge objective.
+    """
 
     weights: np.ndarray
     biases: np.ndarray
-    class_count: int
-    config: SvmConfig
     objective_histories: tuple = ()
 
 
@@ -185,13 +187,7 @@ def svm_fit(train, config: SvmConfig | None = None) -> SvmModel:
         weights[k] = w
         biases[k] = b
         histories.append(tuple(history))
-    return SvmModel(
-        weights=weights,
-        biases=biases,
-        class_count=K,
-        config=config,
-        objective_histories=tuple(histories),
-    )
+    return SvmModel(weights=weights, biases=biases, objective_histories=tuple(histories))
 
 
 def svm_predict(model: SvmModel, test):

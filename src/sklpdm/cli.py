@@ -184,7 +184,7 @@ def _sklp_config_from(args):
     )
 
 
-def _cmd_synth(args, started):
+def _cmd_synth(args):
     if args.shape == "gaussian":
         data = gen_gaussian_classes(
             args.classes, args.per_class, args.dim, args.spread, args.separation, args.seed
@@ -194,8 +194,7 @@ def _cmd_synth(args, started):
     if args.groups > 0:
         data = with_groups(data, args.groups)
     save_csv(data, args.out)
-    _write_manifest(args.out, args, [], [args.out], started)
-    return 0
+    return args.out, [], [args.out]
 
 
 def _parse_frame_manifest(args):
@@ -230,7 +229,7 @@ def _parse_frame_manifest(args):
     return [(row[0].strip(), args.label, args.group) for row in rows]
 
 
-def _cmd_radon(args, started):
+def _cmd_radon(args):
     entries = _parse_frame_manifest(args)
     base = os.path.dirname(os.path.abspath(args.manifest))
     paths = [raw if os.path.isabs(raw) else os.path.join(base, raw) for raw, _, _ in entries]
@@ -240,11 +239,10 @@ def _cmd_radon(args, started):
     if all(group is None for group in groups):
         groups = None
     save_csv(from_names(features, labels, groups), args.out)
-    _write_manifest(args.out, args, [args.manifest], [args.out], started)
-    return 0
+    return args.out, [args.manifest], [args.out]
 
 
-def _cmd_fit(args, started):
+def _cmd_fit(args):
     data = load_csv(args.data)
     if args.kind == "sklp":
         model, _ = sklp_projection.fit(data, _sklp_config_from(args))
@@ -252,20 +250,18 @@ def _cmd_fit(args, started):
         d = sklp_projection.output_dim(args.dim, data.class_count, data.dim, data.sample_count)
         model = baselines.pca_fit(data.features, d) if args.kind == "pca" else baselines.lda_fit(data, d)
     sklp_projection.save_model(model, args.out)
-    _write_manifest(args.out, args, [args.data], [args.out], started)
-    return 0
+    return args.out, [args.data], [args.out]
 
 
-def _cmd_project(args, started):
+def _cmd_project(args):
     model = sklp_projection.load_model(args.model)
     data = load_csv(args.data)
     projected = sklp_projection.project(model, data.features)
     save_csv(dataclasses.replace(data, features=projected), args.out)
-    _write_manifest(args.out, args, [args.model, args.data], [args.out], started)
-    return 0
+    return args.out, [args.model, args.data], [args.out]
 
 
-def _cmd_diffuse(args, started):
+def _cmd_diffuse(args):
     data = load_csv(args.data)
     config = diffusion_map.DiffusionConfig(bandwidth=args.sigma, embed_dim=args.dim, time=args.time)
     model = diffusion_map.fit(data.features, config)
@@ -273,8 +269,7 @@ def _cmd_diffuse(args, started):
     diffusion_map.save_embedding_csv(args.out, model.embedding, labels)
     model_path = args.out + ".model.json"
     diffusion_map.save_model_json(model, model_path)
-    _write_manifest(args.out, args, [args.data], [args.out, model_path], started)
-    return 0
+    return args.out, [args.data], [args.out, model_path]
 
 
 def _format_confusion(matrix):
@@ -310,7 +305,7 @@ def _report_text(title, matrix, fold_accuracies, config_echo, extra_lines=()):
     return "\n".join(lines) + "\n"
 
 
-def _cmd_classify(args, started):
+def _cmd_classify(args):
     train = load_csv(args.train)
     test = load_csv(args.test)
     if train.dim != test.dim:
@@ -346,11 +341,10 @@ def _cmd_classify(args, started):
         extra.append(_format_confusion(group_matrix))
     text = _report_text(f"classification report ({args.method})", matrix, (), echo, extra)
     atomic_write_text(args.report, text)
-    _write_manifest(args.report, args, [args.train, args.test], [args.report], started)
-    return 0
+    return args.report, [args.train, args.test], [args.report]
 
 
-def _cmd_evaluate(args, started):
+def _cmd_evaluate(args):
     data = load_csv(args.data)
     sklp_cfg = _sklp_config_from(args)
     d = sklp_projection.output_dim(args.dim, data.class_count, data.dim, data.sample_count)
@@ -374,11 +368,10 @@ def _cmd_evaluate(args, started):
     )
     atomic_write_text(args.report, text)
     atomic_write_text(args.confusion, _confusion_csv_text(result.confusion))
-    _write_manifest(args.report, args, [args.data], [args.report, args.confusion], started)
-    return 0
+    return args.report, [args.data], [args.report, args.confusion]
 
 
-def _cmd_trace(args, started):
+def _cmd_trace(args):
     data = load_csv(args.data)
     _, state = sklp_projection.fit(data, _sklp_config_from(args))
     buffer = io.StringIO()
@@ -390,10 +383,10 @@ def _cmd_trace(args, started):
     ):
         writer.writerow([t, format_float(value), format_float(increment)])
     atomic_write_text(args.out, buffer.getvalue())
-    _write_manifest(args.out, args, [args.data], [args.out], started)
-    return 0
+    return args.out, [args.data], [args.out]
 
 
+# each command returns (primary output, input paths, output paths); run() writes the manifest
 _COMMANDS = {
     "synth": _cmd_synth,
     "radon": _cmd_radon,
@@ -416,7 +409,9 @@ def run(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args, started)
+        primary, inputs, outputs = _COMMANDS[args.command](args)
+        _write_manifest(primary, args, inputs, outputs, started)
+        return 0
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

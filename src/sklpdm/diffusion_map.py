@@ -98,16 +98,14 @@ def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
     kept = config.embed_dim + 1  # the trivial pair, then the retained ones
     if n < kept:
         raise DataError(f"embed_dim {config.embed_dim} exceeds available eigenpairs for n={n}")
-    M = pairwise_sq_distances(X)  # one matrix gives the median and the affinity
-    sigma = bandwidth(M, config.bandwidth)
-    W = _gaussian(M, sigma)
-    # symmetric conjugate of T = D^-1 W shares its (real) spectrum
-    inv_root = 1.0 / np.sqrt(W.sum(axis=1))
-    S = np.outer(inv_root, inv_root)
-    S *= W
-    S = np.add(S, S.T, out=W)  # symmetrised in the affinity's buffer
-    S /= 2.0
-    del M, W  # other names of S's buffer: only S stays live through eigh
+    S = pairwise_sq_distances(X)  # one buffer: distances, their median, affinity W, conjugate
+    sigma = bandwidth(S, config.bandwidth)
+    _gaussian(S, sigma)
+    # the symmetric conjugate D^-1/2 W D^-1/2 of T = D^-1 W shares its (real)
+    # spectrum; scaled in place row by row, it is exactly symmetric as W is
+    inv_root = 1.0 / np.sqrt(S.sum(axis=1))
+    for i, scale in enumerate(inv_root):
+        S[i] *= scale * inv_root
     values, phi = _sorted_eigh(S, kept)
     values = values[:kept]
     phi *= inv_root[:, None]  # right eigenvectors of T

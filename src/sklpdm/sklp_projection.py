@@ -42,17 +42,17 @@ class SklpConfig:
 
     rho              : inter/intra balance in (0, 1); (1-rho) weights the
                        intra-class term, rho the inter-class term
-    class_weights    : per-class weights lambda_k > 0, or None for the
-                       pair-count balancing default n_o / (K * n_k)
     kernel_bandwidth : Gaussian kernel sigma > 0, or "auto" for the median
                        of the initial projected pairwise distances
     target_dim       : output dimension d, or "auto" for K - 1 (capped at
                        min(D, n-1))
     learning_rate    : distance relaxation step eta in (0, 1]
+
+    The class weights are always the pair-count default lambda_k =
+    n_o / (K * n_k) of `default_class_weights`.
     """
 
     rho: float = 0.1
-    class_weights: tuple | None = None
     kernel_bandwidth: float | str = "auto"
     target_dim: int | str = "auto"
     learning_rate: float = 0.1
@@ -72,11 +72,6 @@ class SklpConfig:
                 raise DataError("kernel_bandwidth must be positive or 'auto'")
         if self.target_dim != "auto":
             object.__setattr__(self, "target_dim", positive_int(self.target_dim, "target_dim"))
-        if self.class_weights is not None:
-            weights = tuple(float(w) for w in self.class_weights)
-            if any(w <= 0 for w in weights):
-                raise DataError("class_weights must all be positive")
-            object.__setattr__(self, "class_weights", weights)
 
 
 @dataclass(frozen=True)
@@ -133,13 +128,14 @@ class SklpState:
     """Per-iteration state of the projection fit.
 
     M holds the current symmetric matrix of low-dimensional squared
-    distances; m_c / m_o are the kernel averages the latest pair weights
-    were built from. sigma and class_weights are the bandwidth and the
-    lambda_k that init_state resolved. objective_history[0] is the
-    objective at initialization; entry t is the objective after iteration
-    t, and eigenvalue_history[t] the eigenvalues of the directions chosen
-    there. predicted_increments records, per iteration, the sum of the
-    selected eigenvalues plus the constant
+    distances and m_c / m_o its kernel averages, from which the next pair
+    weights are built. sigma and class_weights are the bandwidth and the
+    pair-count default lambda_k that init_state resolved.
+    objective_history[0] is the objective at initialization; entry t is
+    the objective after iteration t, and eigenvalue_history[t] the
+    eigenvalues of the directions chosen there. predicted_increments
+    records, per iteration, the sum of the selected eigenvalues plus the
+    constant
     (1-rho) * sum_k lambda_k n_k - rho * n_o  (a reported diagnostic of the
     expected objective gain; not enforced). best_index is the iterate with
     the highest objective; best_matrix and best_scatter are its directions
@@ -161,11 +157,13 @@ class SklpState:
 
 
 def _pair_counts(labels, class_count):
-    """Ordered-pair counts: n_k = c_k (c_k - 1) per class, n_o for inter-class."""
+    """Ordered-pair counts: n_k = c_k (c_k - 1) per class, n_o for inter-class (zero is an error)."""
     counts = np.bincount(labels, minlength=class_count)
     n_k = counts * (counts - 1)
     n = len(labels)
     n_o = n * (n - 1) - int(n_k.sum())
+    if n_o == 0:
+        raise NumericalError("no inter-class pairs: need at least 2 classes")
     return n_k, n_o
 
 
@@ -177,19 +175,7 @@ def default_class_weights(labels, class_count):
     pairs.
     """
     n_k, n_o = _pair_counts(labels, class_count)
-    if n_o == 0:
-        raise NumericalError("no inter-class pairs: need at least 2 classes")
     return n_o / (class_count * np.maximum(n_k, 1))
-
-
-def _class_weights(config, labels, class_count):
-    """Class weights lambda_k: the config's when set, else the pair-count default."""
-    if config.class_weights is None:
-        return default_class_weights(labels, class_count)
-    weights = np.asarray(config.class_weights, dtype=np.float64)
-    if weights.shape != (class_count,):
-        raise DataError(f"class_weights must have length {class_count}")
-    return weights
 
 
 def _sq_distances_into(out, scratch, points, others):
@@ -272,8 +258,6 @@ def _kernel_sums(M, labels, class_count, sigma, kernels=None):
     M's shape, overwritten) when given, else in a fresh one.
     """
     n_k, n_o = _pair_counts(labels, class_count)
-    if n_o == 0:
-        raise NumericalError("no inter-class pairs: need at least 2 classes")
     kernels = np.negative(M, out=kernels)
     kernels /= sigma * sigma
     np.exp(kernels, out=kernels)
@@ -438,7 +422,7 @@ def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
     if K < 2:
         raise NumericalError("need at least 2 classes (K >= 2) to contrast pairs")
     d = output_dim(config.target_dim, K, dataset.dim, n)
-    weights = _class_weights(config, dataset.labels, K)
+    weights = default_class_weights(dataset.labels, K)
 
     try:
         init_values, init_matrix = solve_eig(covariance(X)[1], d)
@@ -485,11 +469,9 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
     )
 
     previous = state.objective_history[0]
-    averages = state.m_c, state.m_o
     # the fit's only n x n buffer besides M: distance-update tiles, then the kernel matrix
     kernels = np.empty_like(state.M)
     for t in range(1, config.max_iters + 1):
-        state.m_c, state.m_o = averages
         W = alpha_weights(state.m_c, state.m_o, config.rho, state.class_weights)
         scatter = scatter_matrix(X, labels, W)
         try:
@@ -503,7 +485,7 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
         # one exp(-M / sigma^2) gives this objective and the next iteration's averages
         sums = _kernel_sums(state.M, labels, K, state.sigma, kernels=kernels)
         current = _objective_value(sums[0], sums[1], config.rho, state.class_weights)
-        averages = _averages(*sums)
+        state.m_c, state.m_o = _averages(*sums)
         state.objective_history.append(current)
         state.eigenvalue_history.append(values)
         state.predicted_increments.append(float(values.sum()) + increment_constant)

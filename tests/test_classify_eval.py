@@ -125,10 +125,7 @@ class TestSvm:
             (np.array([[-1.0, 1.0]]), np.array([0, 1])), model_config
         )
         zero_model = model.__class__(
-            weights=np.zeros_like(model.weights),
-            biases=np.zeros_like(model.biases),
-            class_count=model.class_count,
-            config=model_config,
+            weights=np.zeros_like(model.weights), biases=np.zeros_like(model.biases)
         )
         predicted = svm_predict(zero_model, np.array([[3.0, -3.0]]))
         assert predicted.tolist() == [0, 0]

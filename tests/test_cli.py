@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -86,6 +87,8 @@ class TestSynthAndFit:
             out = tmp_path / f"{kind}.json"
             assert invoke("fit", kind, "--data", str(data), "--dim", "50", "--out", str(out)) == 0
             dims[kind] = load_model(out).dim_out
+            # dim_out records the delivered dimension; the config does not echo it
+            assert "target_dim" not in (json.loads(out.read_text())["config"] or {}), kind
         report = tmp_path / "r.txt"
         assert invoke(
             "evaluate", "--data", str(data), "--pipeline", "pca", "--dim", "50",
@@ -167,6 +170,41 @@ class TestDeterminismAndManifest:
         assert manifest["command"] == "classify"
         assert "seed" not in manifest
         assert "seed" not in manifest["flags"]
+
+    @pytest.mark.parametrize(
+        "command", ["synth", "radon", "fit", "project", "diffuse", "classify", "evaluate", "trace"]
+    )
+    def test_every_command_writes_its_manifest(self, tmp_path, command):
+        data, model = str(tmp_path / "g.csv"), str(tmp_path / "m.json")
+        assert invoke(
+            "synth", "gaussian", "--classes", "2", "--per-class", "6", "--dim", "3",
+            "--seed", "1", "--groups", "2", "--out", data,
+        ) == 0
+        assert invoke("fit", "pca", "--data", data, "--out", model) == 0
+        (tmp_path / "f.pgm").write_text("P2\n3 3\n255\n0 1 0\n1 1 1\n0 1 0\n")
+        frames = str(tmp_path / "frames.txt")
+        (tmp_path / "frames.txt").write_text("f.pgm\n")
+        out, report, matrix = (str(tmp_path / name) for name in ("o.csv", "r.txt", "c.csv"))
+        cases = {  # argv, inputs, outputs; the first output is the primary one
+            "synth": (["synth", "rings", "--out", out], [], [out]),
+            "radon": (["radon", "--manifest", frames, "--label", "a", "--angles", "4", "--out", out],
+                      [frames], [out]),
+            "fit": (["fit", "lda", "--data", data, "--out", out], [data], [out]),
+            "project": (["project", "--model", model, "--data", data, "--out", out], [model, data], [out]),
+            "diffuse": (["diffuse", "--data", data, "--out", out], [data], [out, out + ".model.json"]),
+            "classify": (["classify", "knn", "--train", data, "--test", data, "--report", report],
+                         [data, data], [report]),
+            "evaluate": (["evaluate", "--data", data, "--pipeline", "pca", "--report", report,
+                          "--confusion", matrix], [data], [report, matrix]),
+            "trace": (["trace", "--data", data, "--rho", "0.5", "--max-iters", "2", "--out", out],
+                      [data], [out]),
+        }
+        argv, inputs, outputs = cases[command]
+        assert invoke(*argv) == 0
+        with open(outputs[0] + ".manifest.json", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert manifest["command"] == command
+        assert (manifest["inputs"], manifest["outputs"]) == (inputs, outputs)
 
     def test_fit_model_deterministic(self, tmp_path, gaussian_csv):
         m1 = tmp_path / "m1.json"
@@ -323,16 +361,23 @@ class TestEvaluate:
         assert not (tmp_path / "r.txt").exists()
 
 
+def _field_names(config_class):
+    return sorted(f.name for f in dataclasses.fields(config_class))
+
+
 def test_sklp_flag_defaults_match_config():
     default = SklpConfig()
-    expected = {
-        "dim": default.target_dim,
-        "rho": default.rho,
-        "eta": default.learning_rate,
-        "sigma": default.kernel_bandwidth,
-        "tol": default.rel_tolerance,
-        "max_iters": default.max_iters,
+    # flag -> the SklpConfig field it sets; every field has a flag
+    table = {
+        "dim": "target_dim",
+        "rho": "rho",
+        "eta": "learning_rate",
+        "sigma": "kernel_bandwidth",
+        "tol": "rel_tolerance",
+        "max_iters": "max_iters",
     }
+    assert sorted(table.values()) == _field_names(SklpConfig)
+    expected = {flag: getattr(default, name) for flag, name in table.items()}
     parser = _build_parser()
     for argv in (
         ["fit", "sklp", "--data", "d.csv", "--out", "m.json"],
@@ -445,11 +490,13 @@ def test_version_flag():
 
 def test_diffusion_flag_defaults_match_config():
     default = DiffusionConfig()
+    table = {"dim": "embed_dim", "sigma": "bandwidth", "time": "time"}  # flag -> field
+    assert sorted(table.values()) == _field_names(DiffusionConfig)
     parser = _build_parser()
     flags = vars(parser.parse_args(["diffuse", "--data", "d.csv", "--out", "e.csv"]))
-    assert (flags["dim"], flags["sigma"], flags["time"]) == (
-        default.embed_dim, default.bandwidth, default.time
-    )
+    assert {flag: flags[flag] for flag in table} == {
+        flag: getattr(default, name) for flag, name in table.items()
+    }
     flags = vars(parser.parse_args(
         ["evaluate", "--data", "d.csv", "--pipeline", "dm", "--report", "r.txt", "--confusion", "c.csv"]
     ))
@@ -458,8 +505,13 @@ def test_diffusion_flag_defaults_match_config():
 
 
 def test_classifier_flag_defaults_match_config():
+    knn_table = {"k": "k"}  # flag -> KnnConfig field
+    svm_table = {"reg": "regularization", "epochs": "epochs"}  # flag -> SvmConfig field
+    assert sorted(knn_table.values()) == _field_names(KnnConfig)
+    assert sorted(svm_table.values()) == _field_names(SvmConfig)
     knn, svm = KnnConfig(), SvmConfig()
-    expected = {"k": knn.k, "reg": svm.regularization, "epochs": svm.epochs}
+    expected = {flag: getattr(knn, name) for flag, name in knn_table.items()}
+    expected.update({flag: getattr(svm, name) for flag, name in svm_table.items()})
     parser = _build_parser()
     for argv in (
         ["classify", "knn", "--train", "a.csv", "--test", "b.csv", "--report", "r.txt"],

@@ -450,7 +450,7 @@ class TestFit:
     def test_rayleigh_optimality_each_iteration(self):
         rng = np.random.default_rng(0)
         data = gen_gaussian_classes(3, 10, 5, 1.0, 6.0, seed=1)
-        config = SklpConfig(rho=0.5, class_weights=(1.0, 1.0, 1.0))
+        config = SklpConfig(rho=0.5)
         state = init_state(data, config)
         d = 2
         for _ in range(5):
@@ -487,6 +487,9 @@ class TestFit:
         assert np.array_equal(fitted.M, state.M)
         assert np.array_equal(fitted.best_matrix, best_matrix)
         assert np.array_equal(model.matrix, best_matrix)
+        # the state's kernel averages are those of its final M, as the next iteration would use
+        m_c, m_o = kernel_averages(fitted.M, data.labels, fitted.sigma)
+        assert np.array_equal(fitted.m_c, m_c) and fitted.m_o == m_o
 
     def test_fit_holds_two_n_by_n_arrays(self):
         """M and one kernel buffer; the update works in row tiles and builds the kernel in place."""
@@ -609,6 +612,17 @@ class TestInvariants:
         n_k = counts * (counts - 1)
         n_o = 30 - n_k.sum()
         np.testing.assert_allclose(weights[:2], n_o / (3 * n_k[:2]))
+
+    def test_single_class_has_no_inter_class_pairs(self):
+        labels = np.zeros(4, dtype=np.int64)
+        M = pairwise_sq_distances(np.arange(8.0).reshape(2, 4))
+        message = "no inter-class pairs: need at least 2 classes"
+        with pytest.raises(NumericalError, match=message):
+            kernel_averages(M, labels, 1.0)
+        with pytest.raises(NumericalError, match=message):
+            objective(M, labels, 1.0, 0.5, [1.0])
+        with pytest.raises(NumericalError, match=message):
+            default_class_weights(labels, 1)
 
 
 class TestSerialization:
