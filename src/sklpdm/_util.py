@@ -9,19 +9,25 @@ from .errors import DataError
 
 
 def atomic_write_text(path, text):
-    """Write `text` to `path` via a temp file + rename so readers never see partial output."""
+    """Write `text` to `path` via a temp file + rename so readers never see partial output.
+
+    Raises DataError when the file cannot be written.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def format_float(value):
@@ -34,8 +40,7 @@ def save_float_rows_csv(path, header, rows, lead=None, tail=None):
 
     Floats are written as their shortest round-trip repr (`format_float`).
     `lead` and `tail` are optional per-row text fields written before and
-    after the floats, quoted as `csv.writer` quotes them. Raises DataError
-    when the file cannot be written.
+    after the floats, quoted as `csv.writer` quotes them.
     """
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(header)
@@ -56,10 +61,7 @@ def save_float_rows_csv(path, header, rows, lead=None, tail=None):
         if tail is not None:
             line += "," + field(tail[i])
         buffer.write(line + "\n")
-    try:
-        atomic_write_text(path, buffer.getvalue())
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    atomic_write_text(path, buffer.getvalue())
 
 
 def positive_int(value, name):

@@ -318,12 +318,10 @@ def _cmd_classify(args):
     if args.method == "knn":
         config = classify_eval.KnnConfig(k=args.k)
         predicted = classify_eval.knn_predict((train.features, train.labels), test.features, config)
-        echo = {"method": "knn", "k": args.k}
     else:
         config = classify_eval.SvmConfig(regularization=args.reg, epochs=args.epochs)
         model = classify_eval.svm_fit((train.features, train.labels), config)
         predicted = classify_eval.svm_predict(model, test.features)
-        echo = {"method": "svm", "regularization": args.reg, "epochs": args.epochs}
     matrix = classify_eval.confusion(test_y, predicted, train.class_count, train.label_names)
     extra = []
     if args.vote_by_group:
@@ -339,6 +337,7 @@ def _cmd_classify(args):
         extra.append(f"group-vote accuracy: {group_matrix.accuracy:.6f}")
         extra.append("group-vote confusion (rows = true, cols = predicted):")
         extra.append(_format_confusion(group_matrix))
+    echo = {"method": args.method, **dataclasses.asdict(config)}
     text = _report_text(f"classification report ({args.method})", matrix, (), echo, extra)
     atomic_write_text(args.report, text)
     return args.report, [args.train, args.test], [args.report]

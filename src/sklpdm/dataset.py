@@ -136,7 +136,11 @@ def _columns(header):
 
 
 def _read_rows(path, handle):
-    """(n x D values, labels, groups or None) of any CSV file, read with the csv module."""
+    """(n x D values, labels, groups or None) of any CSV file, walked row by row with the csv module.
+
+    Feature cells are parsed by float(); the first bad row (1-based) and
+    column is reported.
+    """
     rows = list(csv.reader(handle))
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -147,7 +151,21 @@ def _read_rows(path, handle):
     body = rows[1:]
     if not body:
         raise DataError(f"{path}: no data rows")
-    values = _parse_features(path, header, body, feature_cols)
+    values = np.empty((len(body), len(feature_cols)), dtype=np.float64)
+    for r, row in enumerate(body, start=1):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {r}: expected {len(header)} fields, got {len(row)}")
+        for j, c in enumerate(feature_cols):
+            cell = row[c]
+            try:
+                parsed = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {r}, column {header[c]}: non-numeric value {cell!r}"
+                ) from None
+            if not math.isfinite(parsed):
+                raise DataError(f"{path}: row {r}, column {header[c]}: non-finite value {cell!r}")
+            values[r - 1, j] = parsed
     labels = [row[label_col] for row in body]
     groups = [row[group_col] for row in body] if group_col is not None else None
     return values, labels, groups
@@ -233,38 +251,6 @@ def from_names(features, labels, groups=None) -> LabeledDataset:
         groups=group_ids,
         group_names=group_names,
     )
-
-
-def _parse_features(path, header, body, feature_cols):
-    """n x D float matrix of the feature cells of the data rows, parsed by float().
-
-    All cells are parsed in one pass; only when that fails is the file
-    walked row by row, which reports the first bad row and column.
-    """
-    if all(len(row) == len(header) for row in body):
-        cells = [row[c] for row in body for c in feature_cols]
-        try:
-            values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-        except ValueError:
-            values = None
-        if values is not None and np.isfinite(values).all():
-            return values.reshape(len(body), len(feature_cols))
-    values = np.empty((len(body), len(feature_cols)), dtype=np.float64)
-    for r, row in enumerate(body, start=1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r}: expected {len(header)} fields, got {len(row)}")
-        for j, c in enumerate(feature_cols):
-            cell = row[c]
-            try:
-                parsed = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {r}, column {header[c]}: non-numeric value {cell!r}"
-                ) from None
-            if not math.isfinite(parsed):
-                raise DataError(f"{path}: row {r}, column {header[c]}: non-finite value {cell!r}")
-            values[r - 1, j] = parsed
-    return values
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

@@ -167,7 +167,4 @@ def save_model_json(model: DiffusionModel, path):
         "eigenvectors": model.eigenvectors.tolist(),
         "train_points": model.train_points.tolist(),
     }
-    try:
-        atomic_write_text(path, json.dumps(payload) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    atomic_write_text(path, json.dumps(payload) + "\n")

@@ -33,7 +33,7 @@ from ._util import atomic_write_text, positive_int
 
 MODEL_KINDS = ("sklp", "pca", "lda")
 
-_TILE_FLOATS = 1 << 16  # floats in one row tile of the distance update
+_TILE_FLOATS = 1 << 16  # floats in one row tile of a distance array
 
 
 @dataclass(frozen=True)
@@ -178,25 +178,6 @@ def default_class_weights(labels, class_count):
     return n_o / (class_count * np.maximum(n_k, 1))
 
 
-def _sq_distances_into(out, scratch, points, others):
-    """out[i, j] = sum_d (points[d, i] - others[d, j])^2, summed in feature order; returns out.
-
-    The first feature row's term goes straight into out (0 + s == s); each
-    later row's term is formed in scratch, of out's shape, and added.
-    """
-    rows = zip(points, others, strict=True)
-    first = next(rows, None)
-    if first is None:
-        out.fill(0.0)
-        return out
-    np.subtract(first[0][:, None], first[1][None, :], out=out)
-    np.multiply(out, out, out=out)
-    for a, b in rows:
-        np.subtract(a[:, None], b[None, :], out=scratch)
-        out += np.multiply(scratch, scratch, out=scratch)
-    return out
-
-
 def pairwise_sq_distances(points, others=None):
     """Squared distances between columns, sum_d (points[d, i] - others[d, j])^2 in feature order.
 
@@ -206,12 +187,17 @@ def pairwise_sq_distances(points, others=None):
     """
     others = points if others is None else others
     m, n = points.shape[1], others.shape[1]
-    out = np.empty((m, n))
+    out = np.zeros((m, n))  # stays zero when there are no features
     rows = _tile_rows(n, m)
     scratch = np.empty((rows, n))
     for start in range(0, m, rows):
         block = out[start:start + rows]
-        _sq_distances_into(block, scratch[:len(block)], points[:, start:start + rows], others)
+        for d, (a, b) in enumerate(zip(points[:, start:start + rows], others, strict=True)):
+            term = scratch[:len(block)] if d else block  # the first term goes straight into out
+            np.subtract(a[:, None], b[None, :], out=term)
+            np.multiply(term, term, out=term)
+            if d:
+                block += term
     return out
 
 
@@ -249,16 +235,16 @@ def _one_hot(labels, class_count):
     return (labels[:, None] == np.arange(class_count)[None, :]).astype(np.float64)
 
 
-def _kernel_sums(M, labels, class_count, sigma, kernels=None):
+def _kernel_sums(M, labels, class_count, sigma):
     """Kernel sums over ordered pairs i != j, read off the class blocks of Y^T K Y.
 
     Returns (intra, inter, n_k, n_o): intra[k] sums the pairs inside class
     k, inter the pairs across classes; n_k and n_o count those pairs.
-    The kernel matrix exp(-M / sigma^2) is built in `kernels` (an array of
-    M's shape, overwritten) when given, else in a fresh one.
+    The kernel matrix exp(-M / sigma^2) is built in place in one fresh
+    array of M's shape, freed on return.
     """
     n_k, n_o = _pair_counts(labels, class_count)
-    kernels = np.negative(M, out=kernels)
+    kernels = np.negative(M)
     kernels /= sigma * sigma
     np.exp(kernels, out=kernels)
     np.fill_diagonal(kernels, 0.0)  # ordered pairs with i != j only
@@ -377,33 +363,29 @@ def _tile_rows(n, cap):
     return max(1, min(_TILE_FLOATS // max(n, 1), cap))
 
 
-def update_distances(M, P, X, learning_rate, scratch=None):
+def update_distances(M, P, X, learning_rate):
     """Relax M in place toward the squared distances of the projection P^T X: M + eta * (d_P - M).
 
-    Returns M. The update runs one row tile (at most 2**16 floats) at a
-    time, so beyond M it needs two tiles and the d x n projection. The tiles
-    are carved from `scratch` (a float64 array, overwritten) when it holds
-    enough floats, as any n x n array does for n >= 2; else they are allocated.
+    Returns M. Each row tile of the new distances (at most 2**16 floats and
+    n // 2 rows) comes from pairwise_sq_distances and is freed before the
+    next is built, so beyond M the update holds one tile, its scratch and
+    the d x n projection.
     """
     if not 0.0 < learning_rate <= 1.0:
         raise DataError("learning_rate must lie in (0, 1]")
     projected = P.T @ np.asarray(X, dtype=np.float64)
     n = projected.shape[1]
-    rows = _tile_rows(n, n // 2)  # two tiles fit in one n x n buffer for every n >= 2
-    if scratch is None or scratch.size < 2 * rows * n:
-        scratch = np.empty(2 * rows * n)
-    flat = scratch.reshape(-1)
+    rows = _tile_rows(n, n // 2)
     for start in range(0, n, rows):
         block = M[start:start + rows]
-        tiles = flat[:2 * block.size].reshape(2, *block.shape)
-        points = projected[:, start:start + rows]
+        target = pairwise_sq_distances(projected[:, start:start + rows], projected)
         if learning_rate == 1.0:  # full step is exact, no cancellation residue
-            _sq_distances_into(block, tiles[1], points, projected)
-            continue
-        target = _sq_distances_into(tiles[0], tiles[1], points, projected)
-        target -= block  # M + eta * (target - M)
-        target *= learning_rate
-        block += target
+            block[...] = target
+        else:  # M + eta * (target - M)
+            target -= block
+            target *= learning_rate
+            block += target
+        del target  # free this tile before the next one is built
     return M
 
 
@@ -469,8 +451,6 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
     )
 
     previous = state.objective_history[0]
-    # the fit's only n x n buffer besides M: distance-update tiles, then the kernel matrix
-    kernels = np.empty_like(state.M)
     for t in range(1, config.max_iters + 1):
         W = alpha_weights(state.m_c, state.m_o, config.rho, state.class_weights)
         scatter = scatter_matrix(X, labels, W)
@@ -481,9 +461,9 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
                 f"iteration {t} with rho={config.rho}: {exc}; a larger rho weights "
                 "the inter-class term more"
             ) from exc
-        update_distances(state.M, P, X, config.learning_rate, scratch=kernels)
+        update_distances(state.M, P, X, config.learning_rate)
         # one exp(-M / sigma^2) gives this objective and the next iteration's averages
-        sums = _kernel_sums(state.M, labels, K, state.sigma, kernels=kernels)
+        sums = _kernel_sums(state.M, labels, K, state.sigma)
         current = _objective_value(sums[0], sums[1], config.rho, state.class_weights)
         state.m_c, state.m_o = _averages(*sums)
         state.objective_history.append(current)
@@ -530,10 +510,7 @@ def save_model(model: ProjectionModel, path):
         "mean": model.mean.tolist() if model.mean is not None else None,
         "config": model.config,
     }
-    try:
-        atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
 def load_model(path) -> ProjectionModel:

@@ -56,6 +56,23 @@ class TestSynthAndFit:
             "fit", "pca", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "m.json")
         ) == 2
 
+    @pytest.mark.parametrize("command", ["classify", "evaluate", "trace"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        data = str(tmp_path / "g.csv")
+        assert invoke(
+            "synth", "gaussian", "--classes", "2", "--per-class", "6", "--dim", "3",
+            "--seed", "1", "--groups", "2", "--out", data,
+        ) == 0
+        out = str(tmp_path / "nodir" / "r.txt")
+        argv = {
+            "classify": ["classify", "knn", "--train", data, "--test", data, "--report", out],
+            "evaluate": ["evaluate", "--data", data, "--pipeline", "pca", "--report", out,
+                         "--confusion", str(tmp_path / "c.csv")],
+            "trace": ["trace", "--data", data, "--rho", "0.5", "--max-iters", "2", "--out", out],
+        }[command]
+        assert invoke(*argv) == 2
+        assert f"data error: cannot write {out}" in capsys.readouterr().err
+
     def test_non_utf8_data_exits_2(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"
         data.write_bytes("label,f0\ncaf\u00e9,1\nthé,2\n".encode("latin-1"))

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,17 +189,12 @@ class TestLoadCsvRouting:
         assert np.signbit(data.features[1, 0])
         assert data.label_names == ("a", "b") and data.group_names == ("g", "h")
 
-    def test_load_peak_memory_bound(self, tmp_path):
+    def test_load_peak_memory_bound(self, tmp_path, traced_peak):
         rng = np.random.default_rng(12)
         n, dim = 2000, 180
         path = tmp_path / "wide.csv"
         save_csv(LabeledDataset(rng.standard_normal((dim, n)), np.arange(n) % 5, 5), path)
-        tracemalloc.start()
-        try:
-            load_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: load_csv(path))
         # 6.1 MiB measured: the parsed matrix and the dataset's own copy. Parsing
         # every cell into a Python float first peaked at 32.5 MiB.
         assert peak <= 3 * n * dim * 8

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,7 +286,7 @@ class TestPairwiseSqDistances:
         with pytest.raises(ValueError):
             pairwise_sq_distances(np.zeros((3, 4)), np.zeros((2, 4)))
 
-    def test_memory_is_order_m_times_n(self):
+    def test_memory_is_order_m_times_n(self, traced_peak):
         """At D=180, m=240, n=300 one D x m x n tensor would be ~99 MB; m x n is 0.58 MB."""
         rng = np.random.default_rng(43)
         D, m, n = 180, 240, 300
@@ -304,13 +303,7 @@ class TestPairwiseSqDistances:
             "fit": (lambda: diffusion_map.fit(train, DiffusionConfig(embed_dim=3)), 4),
         }
         for name, (call, multiple) in calls.items():
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                call()
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(call)
             assert peak < multiple * m * n * 8, f"{name} peaked at {peak / 1e6:.1f} MB"
 
 
@@ -397,12 +390,23 @@ class TestUpdateDistances:
                 expected -= M0
                 expected *= eta
                 expected += M0
-            for scratch in (None, np.empty((n, n))):
-                M = M0.copy()
-                updated = update_distances(M, model.matrix, X, eta, scratch=scratch)
-                assert updated is M
-                assert np.array_equal(M, expected)
-                assert np.array_equal(M, M.T) and np.all(np.diag(M) == 0.0)
+            M = M0.copy()
+            updated = update_distances(M, model.matrix, X, eta)
+            assert updated is M
+            assert np.array_equal(M, expected)
+            assert np.array_equal(M, M.T) and np.all(np.diag(M) == 0.0)
+
+    def test_update_holds_one_tile_and_its_scratch(self, traced_peak):
+        """Beyond M, two tiles of at most n // 2 rows: each tile's target is freed before the next."""
+        rng = np.random.default_rng(12)
+        n = 301
+        rows = _tile_rows(n, n // 2)
+        assert n // rows >= 2 and n % rows != 0  # at least 3 tiles, the last one ragged
+        X = rng.standard_normal((6, n))
+        model = self.make_model(6, 3, rng)
+        M = pairwise_sq_distances(X)
+        peak = traced_peak(lambda: update_distances(M, model.matrix, X, 0.37))
+        assert peak < 1.25 * n * n * 8, f"update peaked at {peak / (n * n * 8):.2f} n^2 floats"
 
 
 class TestFit:
@@ -491,19 +495,13 @@ class TestFit:
         m_c, m_o = kernel_averages(fitted.M, data.labels, fitted.sigma)
         assert np.array_equal(fitted.m_c, m_c) and fitted.m_o == m_o
 
-    def test_fit_holds_two_n_by_n_arrays(self):
-        """M and one kernel buffer; the update works in row tiles and builds the kernel in place."""
+    def test_fit_holds_two_n_by_n_arrays(self, traced_peak):
+        """M and, while the kernel sums run, their kernel; the update works in freed row tiles."""
         data = gen_ring_classes(5, 120, 0.4, 60, 1)
         n = data.sample_count
         assert (n, data.dim, data.class_count) == (600, 60, 5)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fit(data, SklpConfig(rho=0.6, max_iters=5, rel_tolerance=1e-300))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.6 * n * n * 8, f"fit peaked at {peak / (n * n * 8):.2f} n^2 floats"
+        peak = traced_peak(lambda: fit(data, SklpConfig(rho=0.6, max_iters=5, rel_tolerance=1e-300)))
+        assert peak < 2.2 * n * n * 8, f"fit peaked at {peak / (n * n * 8):.2f} n^2 floats"
 
     def test_degenerate_scatter_names_iteration_and_rho(self):
         data = gen_ring_classes(4, 150, 0.4, 60, 0)
