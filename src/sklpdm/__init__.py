@@ -24,6 +24,7 @@ from .sklp_projection import (
     init_state,
     kernel_averages,
     alpha_weights,
+    class_moments,
     scatter_matrix,
     solve_eig,
     objective,
@@ -72,6 +73,7 @@ __all__ = [
     "init_state",
     "kernel_averages",
     "alpha_weights",
+    "class_moments",
     "scatter_matrix",
     "solve_eig",
     "objective",

@@ -51,8 +51,9 @@ class LabeledDataset:
     group_names: tuple | None = None
 
     def __post_init__(self):
-        # own private copies so freezing them cannot alias caller arrays
-        features = np.array(self.features, dtype=np.float64)
+        # own private copies so freezing them cannot alias caller arrays; C order
+        # keeps each feature row contiguous for the distance kernel
+        features = np.array(self.features, dtype=np.float64, order="C")
         labels = np.array(self.labels, dtype=np.int64)
         if features.ndim != 2:
             raise DataError("features must be a 2-D matrix (columns are samples)")

@@ -10,9 +10,9 @@ similarities of the projected pairwise distances. Each iteration:
   2. convert those averages into signed pair weights, constant on class
      blocks: a K x K matrix W, negative on the diagonal (intra-class pairs)
      and positive off it (inter-class pairs),
-  3. assemble the weighted pairwise scatter from class sums,
-     A = 2 (X diag((W c)[labels]) X^T - S W S^T), and take its top positive
-     eigenvectors as the new projection,
+  3. assemble the weighted pairwise scatter from the class moments of the
+     centred X, computed once per fit: A = 2 (sum_k (W c)_k C_k - S W S^T),
+     and take its top positive eigenvectors as the new projection,
   4. relax M toward the new projected distances with learning rate eta,
   5. evaluate the objective J on the updated M.
 
@@ -183,6 +183,9 @@ def pairwise_sq_distances(points, others=None):
 
     The m x n output is filled one row tile (at most 2**16 floats) at a time,
     so memory beyond it is one tile of scratch, never a D x m x n tensor.
+    Each feature's difference tile is one BLAS product of [a, 1] (rows x 2)
+    and [1; -b] (2 x n): the entry a_i*1 + 1*(-b_j) has two exact products
+    and one rounded addition, so it equals a_i - b_j bit for bit.
     others=None gives the self case: exactly symmetric, zero diagonal.
     """
     others = points if others is None else others
@@ -190,11 +193,16 @@ def pairwise_sq_distances(points, others=None):
     out = np.zeros((m, n))  # stays zero when there are no features
     rows = _tile_rows(n, m)
     scratch = np.empty((rows, n))
+    left = np.ones((rows, 2))  # column 0 takes a feature's tile of points
+    right = np.ones((2, n))  # row 1 takes a feature's negated others
     for start in range(0, m, rows):
         block = out[start:start + rows]
+        tile_left = left[:len(block)]
         for d, (a, b) in enumerate(zip(points[:, start:start + rows], others, strict=True)):
             term = scratch[:len(block)] if d else block  # the first term goes straight into out
-            np.subtract(a[:, None], b[None, :], out=term)
+            tile_left[:, 0] = a
+            np.negative(b, out=right[1])
+            np.matmul(tile_left, right, out=term)
             np.multiply(term, term, out=term)
             if d:
                 block += term
@@ -240,16 +248,22 @@ def _kernel_sums(M, labels, class_count, sigma):
 
     Returns (intra, inter, n_k, n_o): intra[k] sums the pairs inside class
     k, inter the pairs across classes; n_k and n_o count those pairs.
-    The kernel matrix exp(-M / sigma^2) is built in place in one fresh
-    array of M's shape, freed on return.
+    The kernel exp(-M / sigma^2) is built one row tile (at most 2**16
+    floats) at a time, and each tile's Y_t^T K_t Y is added to the block
+    sums, so no n x n kernel array is made.
     """
     n_k, n_o = _pair_counts(labels, class_count)
-    kernels = np.negative(M)
-    kernels /= sigma * sigma
-    np.exp(kernels, out=kernels)
-    np.fill_diagonal(kernels, 0.0)  # ordered pairs with i != j only
+    n = M.shape[0]
     Y = _one_hot(labels, class_count)
-    blocks = Y.T @ kernels @ Y
+    blocks = np.zeros((class_count, class_count))
+    rows = _tile_rows(n, n)
+    scratch = np.empty((rows, n))
+    for start in range(0, n, rows):
+        kernels = scratch[:min(rows, n - start)]
+        np.divide(M[start:start + rows], -(sigma * sigma), out=kernels)
+        np.exp(kernels, out=kernels)
+        kernels.flat[start::n + 1] = 0.0  # the tile's diagonal: ordered pairs with i != j only
+        blocks += Y[start:start + rows].T @ (kernels @ Y)
     inter = float(blocks[~np.eye(class_count, dtype=bool)].sum())
     return np.diag(blocks), inter, n_k, n_o
 
@@ -287,21 +301,35 @@ def alpha_weights(m_c, m_o, rho, weights):
     return W
 
 
-def scatter_matrix(X, labels, W):
-    """Pairwise scatter A = sum over ordered pairs i != j of W[l_i, l_j] z_ij z_ij^T, z_ij = x_i - x_j.
+def class_moments(X, labels, class_count):
+    """Class moments of the centred X that every scatter of a fit is assembled from.
 
-    For symmetric W the Laplacian form reduces to class sums:
-    A = 2 (X diag((W c)[labels]) X^T - S W S^T), with S the D x K class sums
-    and c the class counts. X is centred first; A does not change under
-    translation, and centring keeps the two terms from cancelling.
+    Returns (C, S, counts): C (K x D x D) holds each class's second moment
+    sum_{i in k} x_i x_i^T, S (D x K) the class sums and counts the class
+    sizes, all of X centred on its mean. They depend only on X and the
+    labels, so a fit computes them once; C holds K * D^2 floats.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     X = X - X.mean(axis=1, keepdims=True)
-    Y = _one_hot(labels, len(W))
-    S = X @ Y
-    row_weights = (W @ Y.sum(axis=0))[labels]
-    A = 2.0 * ((X * row_weights) @ X.T - S @ W @ S.T)
+    C = np.empty((class_count, X.shape[0], X.shape[0]))
+    for k in range(class_count):
+        members = X[:, labels == k]
+        np.matmul(members, members.T, out=C[k])
+    return C, X @ _one_hot(labels, class_count), np.bincount(labels, minlength=class_count)
+
+
+def scatter_matrix(moments, W):
+    """Pairwise scatter A = sum over ordered pairs i != j of W[l_i, l_j] z_ij z_ij^T, z_ij = x_i - x_j.
+
+    moments are the (C, S, counts) of class_moments. For symmetric W the
+    Laplacian form reduces to class sums:
+    A = 2 (sum_k (W c)_k C_k - S W S^T), with c the class counts, in
+    O(K D^2 + D K^2) work. A does not change under translation, and the
+    centred moments keep the two terms from cancelling.
+    """
+    C, S, counts = moments
+    A = 2.0 * (np.tensordot(W @ counts, C, axes=1) - S @ W @ S.T)
     return (A + A.T) / 2.0
 
 
@@ -450,10 +478,11 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
         (1.0 - config.rho) * np.sum(state.class_weights * n_k) - config.rho * n_o
     )
 
+    moments = class_moments(X, labels, K)
     previous = state.objective_history[0]
     for t in range(1, config.max_iters + 1):
         W = alpha_weights(state.m_c, state.m_o, config.rho, state.class_weights)
-        scatter = scatter_matrix(X, labels, W)
+        scatter = scatter_matrix(moments, W)
         try:
             values, P = solve_eig(scatter, d)
         except NumericalError as exc:

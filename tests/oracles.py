@@ -223,3 +223,73 @@ def csv_rows_oracle(header, rows, lead=None, tail=None):
         fields += [tail[i]] if tail is not None else []
         writer.writerow(fields)
     return buffer.getvalue()
+
+
+def sklp_fit_oracle(dataset, config):
+    """The SKLP fit loop from direct whole-matrix formulas.
+
+    Distances from a D x n x n broadcast difference tensor, the scatter as
+    2 (X diag(r) X^T - S W S^T) of the centred X in every iteration, and
+    kernel sums from the full n x n exp(-M / sigma^2). Returns a dict with
+    the best iterate's `matrix`, the `objective_history`, the `iteration`
+    reached and the `best_index`.
+    """
+    X = np.asarray(dataset.features, dtype=np.float64)
+    labels = np.asarray(dataset.labels)
+    K = dataset.class_count
+    D, n = X.shape
+    rho, eta = config.rho, config.learning_rate
+    counts = np.bincount(labels, minlength=K)
+    n_k = counts * (counts - 1)
+    n_o = n * (n - 1) - n_k.sum()
+    lam = n_o / (K * np.maximum(n_k, 1))
+    d = K - 1 if config.target_dim == "auto" else config.target_dim
+    d = max(1, min(d, D, n - 1))
+    Y = (labels[:, None] == np.arange(K)[None, :]).astype(np.float64)
+    centred = X - X.mean(axis=1, keepdims=True)
+
+    def distances(points):
+        diff = points[:, :, None] - points[:, None, :]
+        return np.einsum("dij,dij->ij", diff, diff)
+
+    def top_positive(A):
+        values, vectors = np.linalg.eigh((A + A.T) / 2.0)
+        order = np.argsort(values)[::-1]
+        values, vectors = values[order], vectors[:, order[:d]]
+        lead = np.argmax(np.abs(vectors), axis=0)
+        vectors = vectors * np.where(vectors[lead, np.arange(d)] < 0, -1.0, 1.0)
+        keep = min(d, int((values > 1e-10 * (np.abs(values).max() + 1.0)).sum()))
+        assert keep > 0, "degenerate scatter"
+        return values[:keep], vectors[:, :keep]
+
+    def kernel_sums(M):
+        kernel = np.exp(-M / sigma**2)
+        np.fill_diagonal(kernel, 0.0)
+        blocks = Y.T @ kernel @ Y
+        return np.diag(blocks), blocks.sum() - np.trace(blocks)
+
+    _, best = top_positive(centred @ centred.T / (n - 1))
+    M = distances(best.T @ X)
+    if config.kernel_bandwidth == "auto":
+        sigma = float(np.median(np.sqrt(M[np.triu_indices(n, 1)])))
+    else:
+        sigma = float(config.kernel_bandwidth)
+    intra, inter = kernel_sums(M)
+    history = [(1.0 - rho) * float(lam @ intra) - rho * inter]
+    best_index = iteration = 0
+    for iteration in range(1, config.max_iters + 1):
+        m_c = np.where(n_k > 0, np.exp(-intra / np.maximum(n_k, 1)), 1.0)
+        W = np.full((K, K), rho / math.exp(-inter / n_o))
+        np.fill_diagonal(W, -(1.0 - rho) * lam / m_c)
+        S = centred @ Y
+        A = 2.0 * (centred @ np.diag((W @ counts)[labels]) @ centred.T - S @ W @ S.T)
+        _, P = top_positive(A)
+        target = distances(P.T @ X)
+        M = target if eta == 1.0 else M + eta * (target - M)
+        intra, inter = kernel_sums(M)
+        history.append((1.0 - rho) * float(lam @ intra) - rho * inter)
+        if history[-1] > history[best_index]:
+            best_index, best = iteration, P
+        if abs(history[-1] - history[-2]) <= config.rel_tolerance * (abs(history[-2]) + 1.0):
+            break
+    return {"matrix": best, "objective_history": history, "iteration": iteration, "best_index": best_index}

@@ -20,6 +20,7 @@ from sklpdm import (
     SklpConfig,
     SvmConfig,
     alpha_weights,
+    class_moments,
     confusion,
     cross_validate_actions,
     gen_gaussian_classes,
@@ -106,7 +107,7 @@ def test_criterion_1_algebraic_identities():
         # class-sum scatter equals the direct ordered-pair sum at 1e-9 relative
         W = alpha_weights(m_c, m_o, rho, weights)
         alpha = W[labels][:, labels]
-        assembled = scatter_matrix(X, labels, W)
+        assembled = scatter_matrix(class_moments(X, labels, K), W)
         direct_sum = scatter_oracle(X, alpha)
         scale = np.linalg.norm(direct_sum) + 1e-30
         assert np.max(np.abs(assembled - direct_sum)) <= 1e-9 * scale
@@ -155,10 +156,11 @@ def test_criterion_2_eigen_solution_contract(ring_sweep, blob_sweep):
         data = gen_gaussian_classes(3, 15, 8, 1.0, 6.0, seed=trial)
         config = SklpConfig(rho=SWEEP_RHO)
         state = init_state(data, config)
+        moments = class_moments(data.features, data.labels, data.class_count)
         for _ in range(4):  # every iteration of the manual loop
             m_c, m_o = kernel_averages(state.M, data.labels, state.sigma)
             W = alpha_weights(m_c, m_o, config.rho, state.class_weights)
-            A = scatter_matrix(data.features, data.labels, W)
+            A = scatter_matrix(moments, W)
             values, P = solve_eig(A, 2)
             _eigen_contract(P, values, A)
             assert np.all(values > 0)

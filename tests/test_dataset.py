@@ -189,6 +189,16 @@ class TestLoadCsvRouting:
         assert np.signbit(data.features[1, 0])
         assert data.label_names == ("a", "b") and data.group_names == ("g", "h")
 
+    @pytest.mark.parametrize(
+        "text", ["label,f0,f1\na,1,2\nb,3,4\nc,5,6\n", 'label,f0,f1\n"a",1,2\nb,3,4\nc,5,6\n'],
+        ids=["c-reader", "csv-module"],
+    )
+    def test_features_are_c_contiguous(self, tmp_path, text):
+        """Each feature row is contiguous in memory, as the distance kernel reads it."""
+        data = load_csv(write(tmp_path, text))
+        assert data.features.flags.c_contiguous
+        np.testing.assert_array_equal(data.features, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+
     def test_load_peak_memory_bound(self, tmp_path, traced_peak):
         rng = np.random.default_rng(12)
         n, dim = 2000, 180

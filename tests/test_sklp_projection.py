@@ -12,6 +12,7 @@ from sklpdm import (
     NumericalError,
     SklpConfig,
     alpha_weights,
+    class_moments,
     fit,
     diffusion_map,
     gen_gaussian_classes,
@@ -43,6 +44,7 @@ from oracles import (
     median_pairwise_oracle,
     objective_oracle,
     scatter_oracle,
+    sklp_fit_oracle,
 )
 
 
@@ -137,6 +139,24 @@ class TestKernelAverages:
         assert m_o == pytest.approx(oracle_o, abs=1e-12)
 
 
+    def test_row_tiled_sums_match_double_loop_oracles(self):
+        """At n = 301 the kernel is built in two row tiles, the last one ragged."""
+        rng = np.random.default_rng(15)
+        n = 301
+        rows = _tile_rows(n, n)
+        assert rows < n and n % rows != 0
+        labels = np.concatenate([np.arange(4).repeat(2), rng.integers(0, 4, n - 8)])
+        M = pairwise_sq_distances(rng.standard_normal((3, n)))
+        lam = rng.uniform(0.5, 2.0, 4)
+        m_c, m_o = kernel_averages(M, labels, 1.7)
+        oracle_c, oracle_o = kernel_averages_oracle(M, labels, 1.7)
+        np.testing.assert_allclose(m_c, oracle_c, atol=1e-12)
+        assert m_o == pytest.approx(oracle_o, abs=1e-12)
+        expected = objective_oracle(M, labels, 1.7, 0.35, lam)
+        value = objective(M, labels, 1.7, 0.35, lam)
+        assert value == pytest.approx(expected, abs=1e-12 * (1 + abs(expected)))
+
+
 class TestAlphaWeights:
     def test_balanced_example(self):
         labels = np.array([0, 0, 1, 1])
@@ -174,14 +194,14 @@ class TestScatterMatrix:
 
     def test_zero_weights(self):
         X = np.random.default_rng(1).standard_normal((3, 5))
-        A = scatter_matrix(X, np.arange(5), np.zeros((5, 5)))
+        A = scatter_matrix(class_moments(X, np.arange(5), 5), np.zeros((5, 5)))
         assert np.max(np.abs(A)) == 0.0
 
     def test_two_point_hand_case(self):
         X = np.array([[1.0, 0.0], [0.0, 0.0]])
         c = 0.7
         alpha = np.array([[0.0, c], [c, 0.0]])
-        A = scatter_matrix(X, np.arange(2), alpha)
+        A = scatter_matrix(class_moments(X, np.arange(2), 2), alpha)
         expected = 2 * c * np.array([[1.0, 0.0], [0.0, 0.0]])
         np.testing.assert_allclose(A, expected, atol=1e-12)
         np.testing.assert_allclose(scatter_oracle(X, alpha), expected, atol=1e-12)
@@ -193,10 +213,24 @@ class TestScatterMatrix:
         alpha = (raw + raw.T) / 2
         np.fill_diagonal(alpha, 0.0)
         for shifted in (X, X + 1e4):  # far from the origin the two class-sum terms nearly cancel
-            A = scatter_matrix(shifted, np.arange(6), alpha)
+            A = scatter_matrix(class_moments(shifted, np.arange(6), 6), alpha)
             oracle = scatter_oracle(shifted, alpha)
             scale = np.linalg.norm(oracle)
             assert np.max(np.abs(A - oracle)) <= 1e-9 * scale
+
+    def test_class_blocks_match_pairwise_sum(self):
+        """K = 4 classes of 40 samples far from the origin, against the direct ordered-pair sum."""
+        rng = np.random.default_rng(5)
+        labels = np.concatenate([np.arange(4).repeat(2), rng.integers(0, 4, 32)])
+        X = rng.standard_normal((6, 40)) + 1e4
+        raw = rng.standard_normal((4, 4))
+        W = (raw + raw.T) / 2
+        moments = class_moments(X, labels, 4)
+        assert moments[0].shape == (4, 6, 6) and moments[1].shape == (6, 4)
+        np.testing.assert_array_equal(moments[2], np.bincount(labels))
+        A = scatter_matrix(moments, W)
+        oracle = scatter_oracle(X, W[labels][:, labels])
+        assert np.max(np.abs(A - oracle)) <= 1e-9 * np.linalg.norm(oracle)
 
     def test_factored_forms(self):
         rng = np.random.default_rng(6)
@@ -204,7 +238,7 @@ class TestScatterMatrix:
         raw = rng.standard_normal((7, 7))
         alpha = (raw + raw.T) / 2
         np.fill_diagonal(alpha, 0.0)
-        A = scatter_matrix(X, np.arange(7), alpha)
+        A = scatter_matrix(class_moments(X, np.arange(7), 7), alpha)
         L = 2.0 * (np.diag(alpha.sum(axis=1)) - alpha)
         np.testing.assert_allclose(A, X @ L @ X.T, atol=1e-10 * (1 + np.linalg.norm(A)))
 
@@ -251,6 +285,8 @@ class TestPairwiseSqDistances:
         return np.einsum("dij,dij->ij", diff, diff)
 
     def test_bit_identical_to_broadcast_reference(self):
+        """No tolerance: random shapes and scales, several ragged row tiles, signed zeros,
+        subnormals, magnitudes near 1e+-150, equal columns, and strided or sliced views."""
         rng = np.random.default_rng(41)
         shapes = [(0, 2, 3), (1, 1, 1), (1, 5, 3), (3, 1, 9), (2, 7, 1), (3, 7, 11), (180, 24, 30)]
         shapes += [tuple(int(v) for v in rng.integers(1, 40, 3)) for _ in range(20)]
@@ -259,10 +295,28 @@ class TestPairwiseSqDistances:
             rows = _tile_rows(n, m)
             assert rows < m and m % rows
         shapes += [(3, 150, 1000), (2, 301, 5)]
+        cases = []
         for D, m, n in shapes:
             scale = 10.0 ** rng.uniform(-3, 3)
             points = rng.standard_normal((D, m)) * scale
-            others = rng.standard_normal((D, n)) * scale + rng.uniform(-5, 5)
+            cases.append((points, rng.standard_normal((D, n)) * scale + rng.uniform(-5, 5)))
+        edges = [
+            np.array([[0.0, -0.0, 0.0, -0.0, 1.0], [-0.0, 0.0, -1.0, 1.0, -0.0]]),
+            rng.integers(-5, 6, (3, 9)) * np.finfo(np.float64).smallest_subnormal,
+            rng.standard_normal((3, 9)) * 1e-308,  # normal and subnormal, differences underflow
+            rng.standard_normal((4, 12)) * 1e150,
+            rng.standard_normal((4, 12)) * 1e-150,
+            rng.standard_normal((4, 12)) * 10.0 ** rng.choice([-150, 0, 150], (4, 12)),
+            np.repeat(rng.standard_normal((5, 1)), 7, axis=1),  # equal columns
+        ]
+        cases += [(points, points[:, ::-1] * 0.5) for points in edges]
+        big = rng.standard_normal((9, 40)) * 1e3
+        cases += [
+            (big[::2, 1::3], big[4:, ::2]),
+            (big[:4, ::-1], big[5:, 3:]),
+            (big.T[5:25].T[:3], big[6:, ::5]),  # a transposed view
+        ]
+        for points, others in cases:
             np.testing.assert_array_equal(
                 pairwise_sq_distances(points, others), self.broadcast_reference(points, others)
             )
@@ -456,11 +510,12 @@ class TestFit:
         data = gen_gaussian_classes(3, 10, 5, 1.0, 6.0, seed=1)
         config = SklpConfig(rho=0.5)
         state = init_state(data, config)
+        moments = class_moments(data.features, data.labels, data.class_count)
         d = 2
         for _ in range(5):
             m_c, m_o = kernel_averages(state.M, data.labels, state.sigma)
             W = alpha_weights(m_c, m_o, config.rho, state.class_weights)
-            A = scatter_matrix(data.features, data.labels, W)
+            A = scatter_matrix(moments, W)
             _, P = solve_eig(A, d)
             best = np.trace(P.T @ A @ P)
             for _ in range(25):
@@ -477,10 +532,11 @@ class TestFit:
         state = init_state(data, config)
         d = output_dim(config.target_dim, data.class_count, data.dim, data.sample_count)
         best_matrix = state.best_matrix
+        moments = class_moments(data.features, data.labels, data.class_count)
         for _ in range(config.max_iters):
             m_c, m_o = kernel_averages(state.M, data.labels, state.sigma)
             W = alpha_weights(m_c, m_o, config.rho, state.class_weights)
-            A = scatter_matrix(data.features, data.labels, W)
+            A = scatter_matrix(moments, W)
             _, P = solve_eig(A, d)
             state.M = update_distances(state.M, P, data.features, config.learning_rate)
             J = objective(state.M, data.labels, state.sigma, config.rho, state.class_weights)
@@ -495,13 +551,17 @@ class TestFit:
         m_c, m_o = kernel_averages(fitted.M, data.labels, fitted.sigma)
         assert np.array_equal(fitted.m_c, m_c) and fitted.m_o == m_o
 
-    def test_fit_holds_two_n_by_n_arrays(self, traced_peak):
-        """M and, while the kernel sums run, their kernel; the update works in freed row tiles."""
+    def test_fit_peak_is_distances_plus_bandwidth_half_copy(self, traced_peak):
+        """M, plus at init the bandwidth median's copy of M's upper half.
+
+        The distance update and the kernel sums work in row tiles, so no
+        second n x n array is made.
+        """
         data = gen_ring_classes(5, 120, 0.4, 60, 1)
         n = data.sample_count
         assert (n, data.dim, data.class_count) == (600, 60, 5)
         peak = traced_peak(lambda: fit(data, SklpConfig(rho=0.6, max_iters=5, rel_tolerance=1e-300)))
-        assert peak < 2.2 * n * n * 8, f"fit peaked at {peak / (n * n * 8):.2f} n^2 floats"
+        assert peak < 1.6 * n * n * 8, f"fit peaked at {peak / (n * n * 8):.2f} n^2 floats"
 
     def test_degenerate_scatter_names_iteration_and_rho(self):
         data = gen_ring_classes(4, 150, 0.4, 60, 0)
@@ -538,6 +598,39 @@ class TestFit:
         constant = 0.9 * float(np.sum(state.class_weights * n_k)) - 0.1 * n_o
         expected = float(state.eigenvalue_history[1].sum()) + constant
         assert state.predicted_increments[0] == pytest.approx(expected, rel=1e-12)
+
+
+CONTRACT_CASES = {
+    "rings-eta0.1": (lambda: gen_ring_classes(4, 30, 0.4, 12, 0), SklpConfig(rho=0.6)),
+    "rings-eta1": (lambda: gen_ring_classes(3, 40, 0.3, 8, 1), SklpConfig(rho=0.5, learning_rate=1.0)),
+    "rings-fixed-sigma": (
+        lambda: gen_ring_classes(4, 25, 0.4, 20, 2),
+        SklpConfig(rho=0.7, learning_rate=0.37, kernel_bandwidth=1.5),
+    ),
+    "gaussian-d2": (lambda: gen_gaussian_classes(3, 40, 10, 1.0, 4.0, 3), SklpConfig(rho=0.5, target_dim=2)),
+    "gaussian-k5": (lambda: gen_gaussian_classes(5, 20, 6, 1.0, 5.0, 4), SklpConfig(rho=0.6, max_iters=30)),
+    "three-points": (
+        lambda: dataset_from([[0.0, 1.0, 3.0], [0.5, -1.0, 2.0]], [0, 0, 1]),
+        SklpConfig(rho=0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_fit_meets_tolerance_contract_against_direct_formulas(case):
+    """The README's contract: the same iterations and best iterate, objectives
+    within 1e-12 (|J| + 1), the kept directions within 1e-10."""
+    make, config = CONTRACT_CASES[case]
+    data = make()
+    assert data.sample_count <= 120
+    model, state = fit(data, config)
+    expected = sklp_fit_oracle(data, config)
+    assert (state.iteration, state.best_index) == (expected["iteration"], expected["best_index"])
+    history = np.array(expected["objective_history"])
+    deviation = np.abs(np.array(state.objective_history) - history) / (np.abs(history) + 1.0)
+    assert np.max(deviation) <= 1e-12
+    assert model.matrix.shape == expected["matrix"].shape
+    assert np.max(np.abs(model.matrix - expected["matrix"])) <= 1e-10
 
 
 class TestProject:

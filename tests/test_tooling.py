@@ -4,25 +4,34 @@ The benchmark's tracer (bench/tracing.py) wraps the functions listed in its
 TRACED table, and a traced run fails when a listed function is missing or
 records no calls. These checks catch a removed or renamed name, a changed
 signature, or a layer the pipeline no longer calls, here, in the fast test
-run, instead of only in the benchmark smoke tests.
+run, instead of only in the benchmark smoke tests. The output comparison
+tool (tools/compare_outputs.py) is checked the same way.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import sklpdm
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+COMPARE = ROOT / "tools" / "compare_outputs.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_module("bench_tracing", TRACING)
 
 
 def test_every_traced_function_resolves():
@@ -82,3 +91,28 @@ def test_every_traced_layer_records_calls(tmp_path):
 def test_every_public_name_resolves():
     missing = [name for name in sklpdm.__all__ if not hasattr(sklpdm, name)]
     assert missing == []
+
+
+def test_compare_outputs_flags_each_breach():
+    deviations = load_module("compare_outputs", COMPARE).deviations
+    fit = {"iteration": 3, "best_index": 2, "objective_history": [1.0, 2.0, 3.0, 2.5], "matrix": [[1.0], [0.0]]}
+    assert deviations(fit, fit)[1]
+    assert deviations(fit, dict(fit, objective_history=[1.0, 2.0, 3.0 + 1e-12, 2.5], matrix=[[1.0], [1e-11]]))[1]
+    breaches = [
+        dict(fit, iteration=4),
+        dict(fit, best_index=1),
+        dict(fit, objective_history=[1.0, 2.0, 3.0 + 1e-9, 2.5]),
+        dict(fit, matrix=[[1.0], [1e-9]]),
+        dict(fit, matrix=[[1.0, 0.0], [0.0, 1.0]]),
+    ]
+    assert [deviations(fit, changed)[1] for changed in breaches] == [False] * len(breaches)
+    cv = {"confusion": [[2, 0], [1, 1]], "fold_accuracies": [1.0, 0.5]}
+    assert deviations(cv, cv)[1]
+    assert not deviations(cv, dict(cv, confusion=[[1, 1], [1, 1]]))[1]
+
+
+def test_compare_outputs_accepts_a_tree_against_itself():
+    src = str(Path(sklpdm.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(COMPARE), src, src], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "BREACH" not in proc.stdout and "20/20 cases within the contract" in proc.stdout
