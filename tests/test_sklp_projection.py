@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,11 @@ class TestInitState:
     def test_identical_samples_message(self):
         data = dataset_from(np.full((3, 5), 0.1), [0, 0, 1, 1, 1])
         with pytest.raises(NumericalError, match="all samples identical: cannot scale initial distances"):
+            init_state(data, SklpConfig(kernel_bandwidth=1.0))
+
+    def test_underflowing_covariance_is_not_called_identical(self):
+        data = dataset_from(np.random.default_rng(1).standard_normal((3, 6)) * 1e-160, [0, 0, 0, 1, 1, 1])
+        with pytest.raises(NumericalError, match="the samples differ, .* rescale the features to a larger magnitude"):
             init_state(data, SklpConfig(kernel_bandwidth=1.0))
 
     def test_auto_sigma_is_median_of_projected_distances(self):
@@ -470,6 +476,26 @@ class TestFit:
             SklpConfig(target_dim=value)
         with pytest.raises(DataError, match="target_dim must be a positive integer"):
             output_dim(value, 4, 6, 80)
+
+    @pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf, 1e-200, 1e200, "abc", "2.5", None])
+    def test_unusable_bandwidth_rejected(self, value):
+        with pytest.raises(DataError, match=f"kernel_bandwidth must be 'auto' or a number .*, got {re.escape(repr(value))}"):
+            SklpConfig(kernel_bandwidth=value)
+
+    @pytest.mark.parametrize("value", [1e-150, 2, np.float32(0.5), 1e150])
+    def test_bandwidth_kept_as_given(self, value):
+        assert SklpConfig(kernel_bandwidth=value).kernel_bandwidth is value
+        assert bandwidth(None, value) == float(value)
+
+    @pytest.mark.parametrize("M", [np.zeros((3, 3)), np.full((3, 3), np.inf)])
+    def test_unusable_median_bandwidth_says_rescale(self, M):
+        with pytest.raises(NumericalError, match=r"sigma\^2 outside \(0, inf\): rescale the features"):
+            bandwidth(M, "auto")
+
+    @pytest.mark.parametrize("value", [0.0, -1e-6, math.nan])
+    def test_rel_tolerance_must_be_positive(self, value):
+        with pytest.raises(DataError, match="rel_tolerance must be positive"):
+            SklpConfig(rel_tolerance=value)
 
     def test_fractional_max_iters_rejected(self):
         with pytest.raises(DataError, match="max_iters must be a positive integer"):

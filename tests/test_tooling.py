@@ -10,6 +10,8 @@ tool (tools/compare_outputs.py) is checked the same way.
 
 import importlib
 import importlib.util
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -109,10 +111,45 @@ def test_compare_outputs_flags_each_breach():
     cv = {"confusion": [[2, 0], [1, 1]], "fold_accuracies": [1.0, 0.5]}
     assert deviations(cv, cv)[1]
     assert not deviations(cv, dict(cv, confusion=[[1, 1], [1, 1]]))[1]
+    dm = {"eigenvalues": [1.0, 0.5], "embedding": [[0.25], [-0.25]], "extended": [[0.125]]}
+    assert deviations(dm, dm)[1]
+    assert deviations(dm, dict(dm, embedding=[[0.25 + 1e-11], [-0.25]]))[1]
+    breaches = [
+        dict(dm, eigenvalues=[1.0, 0.5 + 1e-9]),
+        dict(dm, embedding=[[0.25], [-0.25 + 1e-9]]),
+        dict(dm, extended=[[0.125 + 1e-9]]),
+        dict(dm, extended=[[0.125], [0.0]]),
+    ]
+    assert [deviations(dm, changed)[1] for changed in breaches] == [False] * len(breaches)
+
+
+def run_compare(old, new):
+    """(exit code, case name -> "ok" or "BREACH", output) of tools/compare_outputs.py OLD NEW."""
+    proc = subprocess.run([sys.executable, str(COMPARE), str(old), str(new)], capture_output=True, text=True, timeout=300)
+    verdicts = {name: status for status, name in re.findall(r"^(ok|BREACH) +(.+?):", proc.stdout, re.M)}
+    return proc.returncode, verdicts, proc.stdout + proc.stderr
 
 
 def test_compare_outputs_accepts_a_tree_against_itself():
-    src = str(Path(sklpdm.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, str(COMPARE), src, src], capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "BREACH" not in proc.stdout and "20/20 cases within the contract" in proc.stdout
+    src = Path(sklpdm.__file__).resolve().parents[1]
+    code, verdicts, output = run_compare(src, src)
+    assert code == 0, output
+    assert "BREACH" not in output and "26/26 cases within the contract" in output
+    assert len([name for name in verdicts if name.startswith("diffusion")]) == 6
+
+
+def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):
+    """A copy whose diffusion kernel uses sigma * (1 + 1e-7) breaches every diffusion case and nothing else."""
+    src = Path(sklpdm.__file__).resolve().parents[1]
+    shutil.copytree(src / "sklpdm", tmp_path / "sklpdm", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "sklpdm" / "diffusion_map.py", "a", encoding="utf-8") as handle:
+        handle.write(
+            "\n_exact_kernel = gaussian_kernel\n\n\n"
+            "def gaussian_kernel(M, sigma, out):\n"
+            "    return _exact_kernel(M, sigma * (1 + 1e-7), out)\n"
+        )
+    code, verdicts, output = run_compare(src, tmp_path)
+    diffusion = [name for name in verdicts if name.startswith("diffusion")]
+    assert len(verdicts) == 26 and len(diffusion) == 6, output
+    assert [name for name, status in verdicts.items() if status == "BREACH"] == diffusion
+    assert code == 1

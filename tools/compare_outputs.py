@@ -3,14 +3,17 @@
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold an `sklpdm` package (a
-checkout's `src`). The tool runs a fixed set of SKLP fits and all 8
-cross-validation pipelines (4 reductions x KNN/SVM) once per tree, each in
-its own subprocess with only that tree on PYTHONPATH. It prints every
-case's deviations and exits 1 if any case breaches the contract that the
-README states under "Tolerance contract":
+checkout's `src`). The tool runs a fixed set of SKLP fits, diffusion fits
+with their Nystrom extensions, and all 8 cross-validation pipelines
+(4 reductions x KNN/SVM) once per tree, each in its own subprocess with
+only that tree on PYTHONPATH. It prints every case's deviations and exits
+1 if any case breaches the contract that the README states under
+"Tolerance contract":
 
   - SKLP fits: the same iteration count and best iterate, every objective
     within 1e-12 (|J| + 1), and the kept directions within 1e-10;
+  - diffusion fits: eigenvalues, embedding and extended held-out points
+    within 1e-10 entrywise;
   - cross-validation: equal confusion counts and fold accuracies.
 """
 
@@ -43,10 +46,22 @@ def sklp_cases(sklpdm):
     return cases
 
 
+def diffusion_cases(sklpdm):
+    """name -> (training columns, held-out columns, DiffusionConfig) of the compared diffusion fits."""
+    cases = {}
+    for n in (30, 120, 300):
+        X = sklpdm.gen_gaussian_classes(3, n // 2, 5, 1.0, 4.0, n).features
+        held = np.arange(X.shape[1]) % 3 == 0
+        for sigma in (3.0, "auto"):
+            cases[f"diffusion n={n} sigma={sigma}"] = (
+                X[:, ~held], X[:, held], sklpdm.DiffusionConfig(bandwidth=sigma, embed_dim=3, time=2))
+    return cases
+
+
 def collect():
     """Run every case with the importable sklpdm; returns name -> record."""
     import sklpdm
-    from sklpdm import classify_eval
+    from sklpdm import classify_eval, diffusion_map
 
     records = {"sklpdm": os.path.dirname(os.path.dirname(os.path.abspath(sklpdm.__file__)))}
     for name, (data, config) in sklp_cases(sklpdm).items():
@@ -56,6 +71,13 @@ def collect():
             "best_index": state.best_index,
             "objective_history": [float(j) for j in state.objective_history],
             "matrix": model.matrix.tolist(),
+        }
+    for name, (train, held, config) in diffusion_cases(sklpdm).items():
+        model = diffusion_map.fit(train, config)
+        records[name] = {
+            "eigenvalues": model.eigenvalues.tolist(),
+            "embedding": model.embedding.tolist(),
+            "extended": diffusion_map.extend(model, held).tolist(),
         }
     data = sklpdm.with_groups(sklpdm.gen_ring_classes(4, 48, 0.5, 30, 7), 4)
     for reduction in classify_eval.PIPELINES:
@@ -74,6 +96,10 @@ def deviations(old, new):
     """(summary, within contract) of one case's two records."""
     if "confusion" in old:
         return ("equal", True) if old == new else (f"differ: {old} vs {new}", False)
+    if "embedding" in old:
+        pairs = [(np.array(old[key]), np.array(new[key])) for key in ("eigenvalues", "embedding", "extended")]
+        d_max = max(np.max(np.abs(b - a)) if a.shape == b.shape else np.inf for a, b in pairs)
+        return f"eigenvalues, embedding and extension {d_max:.1e}", bool(d_max <= MODEL_TOL)
     summary = f"iterations {old['iteration']}/{new['iteration']} best {old['best_index']}/{new['best_index']}"
     if (old["iteration"], old["best_index"]) != (new["iteration"], new["best_index"]):
         return summary, False
