@@ -38,8 +38,8 @@ class SvmConfig:
     epochs: int = 200
 
     def __post_init__(self):
-        if not self.regularization > 0:
-            raise DataError("regularization must be positive")
+        if not 0 < self.regularization < np.inf:
+            raise DataError(f"regularization must be positive and finite, got {self.regularization!r}")
         object.__setattr__(self, "epochs", positive_int(self.epochs, "epochs"))
 
 

@@ -70,39 +70,34 @@ def _add_sklp_flags(command):
     command.add_argument("--max-iters", type=int, default=default.max_iters)
 
 
-def _add_diffusion_flags(command, prefix="", dim_default=None, dim_help=None):
-    """The diffusion flags --{prefix}dim, --{prefix}sigma and --time, defaulting to DiffusionConfig()'s fields."""
-    default = diffusion_map.DiffusionConfig()
-    dim_default = default.embed_dim if dim_default is None else dim_default
-    command.add_argument(f"--{prefix}dim", type=int, default=dim_default, help=dim_help)
-    command.add_argument(f"--{prefix}sigma", type=_auto_or_float, default=default.bandwidth)
-    command.add_argument("--time", type=int, default=default.time)
-
-
-def _add_classifier_flags(command):
-    """The classifier flags --k, --reg and --epochs, defaulting to KnnConfig()'s and SvmConfig()'s fields."""
+def _add_classifier_flags(knn_command, svm_command):
+    """--k on knn_command, --reg and --epochs on svm_command, defaulting to KnnConfig()'s and SvmConfig()'s."""
     knn, svm = classify_eval.KnnConfig(), classify_eval.SvmConfig()
-    command.add_argument("--k", type=int, default=knn.k)
-    command.add_argument("--reg", type=float, default=svm.regularization)
-    command.add_argument("--epochs", type=int, default=svm.epochs)
+    knn_command.add_argument("--k", type=int, default=knn.k)
+    svm_command.add_argument("--reg", type=float, default=svm.regularization)
+    svm_command.add_argument("--epochs", type=int, default=svm.epochs)
 
 
 def _build_parser():
+    """One subparser per command, and per kind of synth, fit and classify: each takes only flags it reads."""
     parser = _Parser(prog="sklpdm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sklpdm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    synth.add_argument("shape", choices=["gaussian", "rings"])
-    synth.add_argument("--classes", type=int, default=3)
-    synth.add_argument("--per-class", type=int, default=50)
-    synth.add_argument("--dim", type=int, default=10)
-    synth.add_argument("--spread", type=float, default=1.0)
-    synth.add_argument("--separation", type=float, default=10.0)
-    synth.add_argument("--noise", type=float, default=0.1)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--groups", type=int, default=0, help="assign this many round-robin group ids")
-    synth.add_argument("--out", required=True)
+    shapes = sub.add_parser("synth", help="generate a synthetic dataset CSV").add_subparsers(
+        dest="shape", required=True)
+    gaussian = shapes.add_parser("gaussian", help="isotropic Gaussian blobs")
+    gaussian.add_argument("--spread", type=float, default=1.0)
+    gaussian.add_argument("--separation", type=float, default=10.0)
+    shapes.add_parser("rings", help="concentric rings in a random 2-plane").add_argument(
+        "--noise", type=float, default=0.1)
+    for shape in shapes.choices.values():
+        shape.add_argument("--classes", type=int, default=3)
+        shape.add_argument("--per-class", type=int, default=50)
+        shape.add_argument("--dim", type=int, default=10)
+        shape.add_argument("--seed", type=int, default=0)
+        shape.add_argument("--groups", type=int, default=0, help="assign this many round-robin group ids")
+        shape.add_argument("--out", required=True)
 
     radon_cmd = sub.add_parser("radon", help="angle-profile features from silhouette frames")
     radon_cmd.add_argument(
@@ -116,37 +111,47 @@ def _build_parser():
     radon_cmd.add_argument("--group", default=None, help="group id for every frame of a plain-list manifest")
     radon_cmd.add_argument("--out", required=True)
 
-    fit_cmd = sub.add_parser("fit", help="fit a projection model")
-    fit_cmd.add_argument("kind", choices=["sklp", "pca", "lda"])
-    fit_cmd.add_argument("--data", required=True)
-    _add_sklp_flags(fit_cmd)
-    fit_cmd.add_argument("--out", required=True)
+    kinds = sub.add_parser("fit", help="fit a projection model").add_subparsers(dest="kind", required=True)
+    _add_sklp_flags(kinds.add_parser("sklp", help="supervised kernel locality-preserving projection"))
+    for kind in ("pca", "lda"):
+        kinds.add_parser(kind, help=f"{kind.upper()} baseline").add_argument(
+            "--dim", type=_auto_or_int, default="auto")
+    for kind in kinds.choices.values():
+        kind.add_argument("--data", required=True)
+        kind.add_argument("--out", required=True)
 
     project_cmd = sub.add_parser("project", help="apply a fitted model to a dataset")
     project_cmd.add_argument("--model", required=True)
     project_cmd.add_argument("--data", required=True)
     project_cmd.add_argument("--out", required=True)
 
+    dm = diffusion_map.DiffusionConfig()
     diffuse = sub.add_parser("diffuse", help="diffusion embedding of a dataset")
     diffuse.add_argument("--data", required=True)
-    _add_diffusion_flags(diffuse)
+    diffuse.add_argument("--dim", type=int, default=dm.embed_dim)
+    diffuse.add_argument("--sigma", type=_auto_or_float, default=dm.bandwidth)
+    diffuse.add_argument("--time", type=int, default=dm.time)
     diffuse.add_argument("--out", required=True, help="embedding CSV; model JSON lands at <out>.model.json")
 
-    classify = sub.add_parser("classify", help="train on one CSV, evaluate on another")
-    classify.add_argument("method", choices=["knn", "svm"])
-    classify.add_argument("--train", required=True)
-    classify.add_argument("--test", required=True)
-    _add_classifier_flags(classify)
-    classify.add_argument("--vote-by-group", action="store_true")
-    classify.add_argument("--report", required=True)
+    methods = sub.add_parser("classify", help="train on one CSV, evaluate on another").add_subparsers(
+        dest="method", required=True)
+    _add_classifier_flags(methods.add_parser("knn", help="k-nearest neighbours"),
+                          methods.add_parser("svm", help="one-vs-rest linear SVM"))
+    for method in methods.choices.values():
+        method.add_argument("--train", required=True)
+        method.add_argument("--test", required=True)
+        method.add_argument("--vote-by-group", action="store_true")
+        method.add_argument("--report", required=True)
 
     evaluate = sub.add_parser("evaluate", help="leave-one-group-out pipeline evaluation")
     evaluate.add_argument("--data", required=True)
     evaluate.add_argument("--pipeline", choices=list(classify_eval.PIPELINES), required=True)
     evaluate.add_argument("--classifier", choices=["knn", "svm"], default="knn")
     _add_sklp_flags(evaluate)
-    _add_diffusion_flags(evaluate, "dm-", 0, "0 = match the projection dimension")
-    _add_classifier_flags(evaluate)
+    evaluate.add_argument("--dm-dim", type=int, default=0, help="0 = match the projection dimension")
+    evaluate.add_argument("--dm-sigma", type=_auto_or_float, default=dm.bandwidth)
+    evaluate.add_argument("--time", type=int, default=dm.time)
+    _add_classifier_flags(evaluate, evaluate)
     evaluate.add_argument("--report", required=True)
     evaluate.add_argument("--confusion", required=True)
 
@@ -191,6 +196,8 @@ def _cmd_synth(args):
         )
     else:
         data = gen_ring_classes(args.classes, args.per_class, args.noise, args.dim, args.seed)
+    if args.groups < 0:
+        raise DataError(f"groups must be >= 0, got {args.groups}")
     if args.groups > 0:
         data = with_groups(data, args.groups)
     save_csv(data, args.out)
@@ -212,6 +219,8 @@ def _parse_frame_manifest(args):
         path_col = header.index("path")
         label_col = header.index("label")
         group_col = header.index("group") if "group" in header else None
+        if args.label is not None or args.group is not None:
+            raise DataError(f"{args.manifest}: has a path,label header, so --label/--group do not apply")
         if not rows[1:]:
             raise DataError(f"{args.manifest}: no frames listed")
         entries = []

@@ -265,6 +265,15 @@ def save_csv(dataset: LabeledDataset, path) -> None:
     save_float_rows_csv(path, header, dataset.features.T, lead=labels, tail=groups)
 
 
+def _check_generator_settings(seed, **settings):
+    """DataError naming the first setting that is not finite and >= 0, or a negative seed."""
+    for name, value in settings.items():
+        if not 0 <= value < math.inf:
+            raise DataError(f"{name} must be finite and >= 0, got {value!r}")
+    if not seed >= 0:
+        raise DataError(f"seed must be >= 0, got {seed!r}")
+
+
 def gen_gaussian_classes(K, n_per_class, D, spread, separation, seed) -> LabeledDataset:
     """Isotropic Gaussian blobs with class means at mutual distance >= `separation`.
 
@@ -274,8 +283,7 @@ def gen_gaussian_classes(K, n_per_class, D, spread, separation, seed) -> Labeled
     """
     if K < 1 or n_per_class < 1 or D < 1:
         raise DataError("gen_gaussian_classes requires K >= 1, n_per_class >= 1, D >= 1")
-    if spread < 0 or separation < 0:
-        raise DataError("spread and separation must be nonnegative")
+    _check_generator_settings(seed, spread=spread, separation=separation)
     rng = np.random.default_rng(seed)
     if K <= D:
         frame, _ = np.linalg.qr(rng.standard_normal((D, K)))
@@ -304,8 +312,9 @@ def gen_ring_classes(K, n_per_class, noise, ambient_dim, seed) -> LabeledDataset
         raise DataError("gen_ring_classes requires K >= 2")
     if ambient_dim < 3:
         raise DataError("gen_ring_classes requires ambient_dim >= 3")
-    if noise < 0 or n_per_class < 1:
-        raise DataError("noise must be >= 0 and n_per_class >= 1")
+    if n_per_class < 1:
+        raise DataError("gen_ring_classes requires n_per_class >= 1")
+    _check_generator_settings(seed, noise=noise)
     rng = np.random.default_rng(seed)
     plane, _ = np.linalg.qr(rng.standard_normal((ambient_dim, 2)))
     features = np.empty((ambient_dim, K * n_per_class))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -62,12 +63,12 @@ class SklpConfig:
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
-            raise DataError("rho must lie in (0, 1)")
+            raise DataError(f"rho must be in (0, 1), got {self.rho!r}")
         if not 0.0 < self.learning_rate <= 1.0:
-            raise DataError("learning_rate must lie in (0, 1]")
+            raise DataError(f"learning_rate must be in (0, 1], got {self.learning_rate!r}")
         object.__setattr__(self, "max_iters", positive_int(self.max_iters, "max_iters"))
-        if not self.rel_tolerance > 0:
-            raise DataError("rel_tolerance must be positive")
+        if not 0 < self.rel_tolerance < math.inf:
+            raise DataError(f"rel_tolerance must be positive and finite, got {self.rel_tolerance!r}")
         if self.kernel_bandwidth != "auto":
             bandwidth(None, self.kernel_bandwidth, "kernel_bandwidth")
         if self.target_dim != "auto":
@@ -212,16 +213,18 @@ def pairwise_sq_distances(points, others=None):
 def bandwidth(M, setting, name="bandwidth"):
     """Kernel sigma: `setting` itself, or for "auto" the median pairwise distance sqrt(M_ij), i < j.
 
-    The one bandwidth rule: sigma > 0 and 0 < sigma * sigma < inf. A fixed
-    setting that breaks it or is not a number is a DataError naming `name`
-    (M is then unread and may be None); a median that breaks it is a
-    NumericalError. The median is taken as np.median takes it, from the one
-    or two middle order statistics, without index arrays or a sorted copy.
+    The one bandwidth rule: sigma > 0 and sigma * sigma a normal float,
+    sys.float_info.min <= sigma^2 < inf. A fixed setting that breaks it or is
+    not a number is a DataError naming `name` (M is then unread and may be
+    None); a median that breaks it is a NumericalError. The median is taken
+    as np.median takes it, from the one or two middle order statistics,
+    without index arrays or a sorted copy.
     """
     if setting != "auto":
         sigma = float(setting) if isinstance(setting, numbers.Real) else math.nan
-        if not (sigma > 0 and 0 < sigma * sigma < math.inf):
-            raise DataError(f"{name} must be 'auto' or a number sigma > 0 with 0 < sigma^2 < inf, got {setting!r}")
+        if not (sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf):
+            raise DataError(f"{name} must be 'auto' or a number sigma > 0 with 2.2e-308 <= sigma^2 < inf, "
+                            f"got {setting!r}")
         return sigma
     n = M.shape[0]
     if n < 2:
@@ -234,8 +237,8 @@ def bandwidth(M, setting, name="bandwidth"):
     middle = [len(upper) // 2] if len(upper) % 2 else [len(upper) // 2 - 1, len(upper) // 2]
     upper.partition(middle)
     sigma = float(np.mean(np.sqrt(upper[middle])))
-    if not 0 < sigma * sigma < math.inf:
-        raise NumericalError(f"median distance {sigma!r} has sigma^2 outside (0, inf): rescale the features")
+    if not sys.float_info.min <= sigma * sigma < math.inf:
+        raise NumericalError(f"median distance {sigma!r} has sigma^2 outside [2.2e-308, inf): rescale the features")
     return sigma
 
 
@@ -414,7 +417,7 @@ def update_distances(M, P, X, learning_rate):
     n <= 362, where it holds the tile plus its scratch to n^2 floats.
     """
     if not 0.0 < learning_rate <= 1.0:
-        raise DataError("learning_rate must lie in (0, 1]")
+        raise DataError(f"learning_rate must be in (0, 1], got {learning_rate!r}")
     projected = P.T @ np.asarray(X, dtype=np.float64)
     n = projected.shape[1]
     rows = _tile_rows(n, n // 2)

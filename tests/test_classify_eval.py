@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,11 @@ class TestKnn:
             with pytest.raises(DataError, match=f"{field} must be a positive integer"):
                 make(value)
         assert type(getattr(make(2.0), field)) is int
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_regularization_must_be_positive_and_finite(self, value):
+        with pytest.raises(DataError, match="regularization must be positive and finite"):
+            SvmConfig(regularization=value)
 
     def test_self_prediction_with_distinct_points(self):
         rng = np.random.default_rng(1)

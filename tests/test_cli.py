@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,53 @@ def gaussian_csv(tmp_path):
         "--seed", "1", "--out", str(out),
     ) == 0
     return out
+
+
+# (command and kind, flag, the setting its data error names): every float flag of every command and kind
+FLOAT_FLAGS = [
+    (["synth", "gaussian"], "--spread", "spread"),
+    (["synth", "gaussian"], "--separation", "separation"),
+    (["synth", "rings"], "--noise", "noise"),
+    *[
+        (command, flag, setting)
+        for command in (["fit", "sklp"], ["trace"], ["evaluate", "--pipeline", "sklp+dm"])
+        for flag, setting in [("--rho", "rho"), ("--eta", "learning_rate"), ("--sigma", "kernel_bandwidth"),
+                              ("--tol", "rel_tolerance")]
+    ],
+    (["diffuse"], "--sigma", "bandwidth"),
+    (["evaluate", "--pipeline", "dm"], "--dm-sigma", "bandwidth"),
+    (["evaluate", "--pipeline", "pca", "--classifier", "svm"], "--reg", "regularization"),
+    (["classify", "svm"], "--reg", "regularization"),
+]
+BANDWIDTH_FLAGS = [
+    (["fit", "sklp"], "--sigma", "kernel_bandwidth"),
+    (["trace"], "--sigma", "kernel_bandwidth"),
+    (["diffuse"], "--sigma", "bandwidth"),
+    (["evaluate", "--pipeline", "dm"], "--dm-sigma", "bandwidth"),
+]
+UNUSABLE_SETTINGS = [
+    (command, flag, setting, value)
+    for command, flag, setting in BANDWIDTH_FLAGS
+    for value in ["0", "-1", "nan", "inf", "1e-200", "1e200"]
+] + [(["fit", "sklp"], "--tol", "rel_tolerance", "nan")] + [
+    (command, flag, setting, "1e-160") for command, flag, setting in BANDWIDTH_FLAGS
+]
+UNUSABLE_SETTINGS += [
+    case
+    for case in ((*flag, value) for flag in FLOAT_FLAGS for value in ("nan", "inf"))
+    if case not in UNUSABLE_SETTINGS
+] + [(["synth", "rings"], "--seed", "seed", "-1"), (["synth", "gaussian"], "--groups", "groups", "-2")]
+
+
+def io_flags(command, data, out, tmp_path):
+    """The input and output flags that `command` needs, with its primary output at `out`."""
+    if command[0] == "synth":
+        return ["--out", out]
+    if command[0] == "classify":
+        return ["--train", data, "--test", data, "--report", out]
+    if command[0] == "evaluate":
+        return ["--data", data, "--report", out, "--confusion", str(tmp_path / "c.csv")]
+    return ["--data", data, "--out", out]
 
 
 class TestSynthAndFit:
@@ -87,31 +136,24 @@ class TestSynthAndFit:
         ) == 2
         assert f"cannot read {model}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag, setting, value", [
-        (command, flag, setting, value)
-        for command, flag, setting in [
-            (["fit", "sklp"], "--sigma", "kernel_bandwidth"),
-            (["trace"], "--sigma", "kernel_bandwidth"),
-            (["diffuse"], "--sigma", "bandwidth"),
-            (["evaluate", "--pipeline", "dm"], "--dm-sigma", "bandwidth"),
-        ]
-        for value in ["0", "-1", "nan", "inf", "1e-200", "1e200"]
-    ] + [(["fit", "sklp"], "--tol", "rel_tolerance", "nan")])
+    @pytest.mark.parametrize("command, flag, setting, value", UNUSABLE_SETTINGS)
     def test_unusable_setting_exits_2(self, tmp_path, capsys, gaussian_csv, command, flag, setting, value):
-        """Every fixed bandwidth needs 0 < sigma and 0 < sigma^2 < inf; 1e-200 and 1e200 square to 0 and inf."""
+        """Every fixed bandwidth needs sigma > 0 and 2.2e-308 <= sigma^2 < inf: 1e-200 and 1e-160 square
+        below the smallest normal float, 1e200 to inf. No float flag takes nan or inf, and synth's
+        seed and group count must be >= 0."""
         out = tmp_path / "out"
-        outputs = ["--report", str(out), "--confusion", str(tmp_path / "c.csv")] if "evaluate" in command else [
-            "--out", str(out)]
-        assert invoke(*command, "--data", str(gaussian_csv), flag, value, *outputs) == 2
+        assert invoke(*command, flag, value, *io_flags(command, str(gaussian_csv), str(out), tmp_path)) == 2
         assert capsys.readouterr().err.startswith(f"data error: {setting} must be")
         assert not out.exists()
+        assert not (tmp_path / "out.manifest.json").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale, command, message", [
-        (1e155, ["diffuse"], "median distance inf has sigma^2 outside (0, inf): rescale the features"),
+        (1e155, ["diffuse"], "median distance inf has sigma^2 outside [2.2e-308, inf): rescale the features"),
         (1e155, ["fit", "sklp"], "covariance is not finite: rescale the features to a smaller magnitude"),
         (1e155, ["fit", "pca"], "covariance is not finite: rescale the features to a smaller magnitude"),
         (1e-160, ["fit", "sklp"], "the samples differ, but their covariance is below the solver's floor"),
+        (1e-160, ["diffuse"], "has sigma^2 outside [2.2e-308, inf): rescale the features"),
     ])
     def test_feature_scale_failure_exits_3(self, tmp_path, capsys, gaussian_csv, scale, command, message):
         data = load_csv(gaussian_csv)
@@ -197,19 +239,11 @@ class TestDeterminismAndManifest:
         assert manifest["flags"]["seed"] == 5
         assert manifest["version"]
         original = out.read_bytes()
-        flags = manifest["flags"]
-        replay = [
-            "synth", flags["shape"],
-            "--classes", str(flags["classes"]),
-            "--per-class", str(flags["per_class"]),
-            "--dim", str(flags["dim"]),
-            "--spread", str(flags["spread"]),
-            "--separation", str(flags["separation"]),
-            "--noise", str(flags["noise"]),
-            "--seed", str(flags["seed"]),
-            "--groups", str(flags["groups"]),
-            "--out", str(out),
-        ]
+        out.unlink()
+        flags = dict(manifest["flags"])
+        replay = ["synth", flags.pop("shape")]
+        for key, value in flags.items():
+            replay += ["--" + key.replace("_", "-"), str(value)]
         assert invoke(*replay) == 0
         assert out.read_bytes() == original
 
@@ -440,6 +474,13 @@ def test_sklp_flag_defaults_match_config():
     ):
         flags = vars(parser.parse_args(argv))
         assert {key: flags[key] for key in expected} == expected, argv[0]
+    # fit sklp and trace take exactly the SKLP flags; the pca and lda baselines take only --dim
+    io = {"command", "data", "out"}
+    assert set(vars(parser.parse_args(["trace", "--data", "d.csv", "--out", "t.csv"]))) == io | set(table)
+    for kind, settings in (("sklp", set(table)), ("pca", {"dim"}), ("lda", {"dim"})):
+        flags = vars(parser.parse_args(["fit", kind, "--data", "d.csv", "--out", "m.json"]))
+        assert set(flags) == io | {"kind"} | settings, kind
+        assert flags["dim"] == "auto", kind
 
 
 class TestRadonCommand:
@@ -515,6 +556,15 @@ class TestRadonCommand:
         assert data.label_names == ("jump",)
         assert data.group_names == ("p1",)
 
+    @pytest.mark.parametrize("flag", ["--label", "--group"])
+    def test_headed_manifest_with_label_or_group_exits_2(self, tmp_path, capsys, flag):
+        manifest = tmp_path / "frames.csv"
+        manifest.write_text("path,label,group\nf.pgm,walk,p0\n")
+        out = tmp_path / "o.csv"
+        assert invoke("radon", "--manifest", str(manifest), flag, "x", "--out", str(out)) == 2
+        assert "has a path,label header, so --label/--group do not apply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plain_list_without_label_exits_2(self, tmp_path):
         manifest = tmp_path / "list.txt"
         manifest.write_text("a.pgm\n")
@@ -562,14 +612,50 @@ def test_classifier_flag_defaults_match_config():
     svm_table = {"reg": "regularization", "epochs": "epochs"}  # flag -> SvmConfig field
     assert sorted(knn_table.values()) == _field_names(KnnConfig)
     assert sorted(svm_table.values()) == _field_names(SvmConfig)
-    knn, svm = KnnConfig(), SvmConfig()
-    expected = {flag: getattr(knn, name) for flag, name in knn_table.items()}
-    expected.update({flag: getattr(svm, name) for flag, name in svm_table.items()})
+    knn = {flag: getattr(KnnConfig(), name) for flag, name in knn_table.items()}
+    svm = {flag: getattr(SvmConfig(), name) for flag, name in svm_table.items()}
     parser = _build_parser()
-    for argv in (
-        ["classify", "knn", "--train", "a.csv", "--test", "b.csv", "--report", "r.txt"],
-        ["evaluate", "--data", "d.csv", "--pipeline", "pca", "--report", "r.txt", "--confusion", "c.csv"],
-    ):
-        flags = vars(parser.parse_args(argv))
-        assert {key: flags[key] for key in expected} == expected, argv[0]
-        assert "seed" not in flags, argv[0]  # svm training consumes no randomness
+    io = {"command", "method", "train", "test", "vote_by_group", "report"}
+    for method, expected in (("knn", knn), ("svm", svm)):
+        flags = vars(parser.parse_args(["classify", method, "--train", "a.csv", "--test", "b.csv",
+                                        "--report", "r.txt"]))
+        assert set(flags) == io | set(expected), method  # each method takes only its own settings
+        assert {key: flags[key] for key in expected} == expected, method
+    flags = vars(parser.parse_args(
+        ["evaluate", "--data", "d.csv", "--pipeline", "pca", "--report", "r.txt", "--confusion", "c.csv"]
+    ))
+    assert {key: flags[key] for key in {**knn, **svm}} == {**knn, **svm}
+    assert "seed" not in flags  # svm training consumes no randomness
+
+
+def test_synth_flags_per_shape():
+    parser = _build_parser()
+    shared = {"command", "shape", "classes", "per_class", "dim", "seed", "groups", "out"}
+    for shape, settings in (("gaussian", {"spread", "separation"}), ("rings", {"noise"})):
+        assert set(vars(parser.parse_args(["synth", shape, "--out", "d.csv"]))) == shared | settings, shape
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "pca", "--rho", "0.5"],
+    ["fit", "lda", "--tol", "nan"],
+    ["classify", "knn", "--reg", "1"],
+    ["classify", "svm", "--k", "3"],
+    ["synth", "gaussian", "--noise", "0.1"],
+    ["synth", "rings", "--spread", "2"],
+])
+def test_flag_of_another_kind_is_a_usage_error(tmp_path, capsys, gaussian_csv, argv):
+    out = tmp_path / "out"
+    assert invoke(*argv, *io_flags(argv, str(gaussian_csv), str(out), tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: unrecognized arguments: {argv[2]}")
+    assert not out.exists()
+
+
+def test_readme_cli_examples_parse():
+    """Every `sklpdm` line of the README's CLI block parses, so the docs cannot drift from the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("sklpdm ")]
+    assert len(commands) >= 10
+    parser = _build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])

@@ -335,6 +335,22 @@ class TestRingGenerator:
             gen_ring_classes(2, 10, 0.1, 2, seed=0)
 
 
+@pytest.mark.parametrize("generate, setting, value", [
+    (lambda v: gen_gaussian_classes(2, 5, 3, v, 4.0, seed=0), "spread", v) for v in (math.nan, math.inf, -1.0)
+] + [
+    (lambda v: gen_gaussian_classes(2, 5, 3, 1.0, v, seed=0), "separation", v) for v in (math.nan, -math.inf)
+] + [
+    (lambda v: gen_ring_classes(2, 5, v, 3, seed=0), "noise", v) for v in (math.nan, math.inf, -0.1)
+] + [
+    (lambda v: gen_gaussian_classes(2, 5, 3, 1.0, 4.0, seed=v), "seed", -1),
+    (lambda v: gen_ring_classes(2, 5, 0.1, 3, seed=v), "seed", -1),
+])
+def test_generator_setting_named(generate, setting, value):
+    """A non-finite or negative spread, separation or noise, or a negative seed, is a DataError naming it."""
+    with pytest.raises(DataError, match=f"^{setting} must be "):
+        generate(value)
+
+
 class TestLeaveOneGroupOut:
     def make(self, groups):
         groups = np.asarray(groups)

@@ -487,12 +487,13 @@ class TestFit:
         assert SklpConfig(kernel_bandwidth=value).kernel_bandwidth is value
         assert bandwidth(None, value) == float(value)
 
-    @pytest.mark.parametrize("M", [np.zeros((3, 3)), np.full((3, 3), np.inf)])
+    @pytest.mark.parametrize("M", [np.zeros((3, 3)), np.full((3, 3), np.inf), np.full((3, 3), 1e-310)])
     def test_unusable_median_bandwidth_says_rescale(self, M):
-        with pytest.raises(NumericalError, match=r"sigma\^2 outside \(0, inf\): rescale the features"):
+        # squared distances of 1e-310 give sigma^2 = 1e-310, positive but below the smallest normal float
+        with pytest.raises(NumericalError, match=r"sigma\^2 outside \[2\.2e-308, inf\): rescale the features"):
             bandwidth(M, "auto")
 
-    @pytest.mark.parametrize("value", [0.0, -1e-6, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -1e-6, math.nan, math.inf])
     def test_rel_tolerance_must_be_positive(self, value):
         with pytest.raises(DataError, match="rel_tolerance must be positive"):
             SklpConfig(rel_tolerance=value)
