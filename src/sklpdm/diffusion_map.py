@@ -3,12 +3,12 @@
 The affinity is a Gaussian kernel on pairwise squared distances; rows of
 the normalized transition matrix T are jumping probabilities. T is
 eigendecomposed through its symmetric conjugate D^(1/2) T D^(-1/2) for
-stability. Only the top embed_dim + 1 eigenpairs are kept: the trivial
-pair (lambda_0 = 1, constant eigenvector) and the embed_dim retained
-pairs. Embedding coordinates are lambda_l^t * phi_l(i) over the retained
-pairs. New points are embedded by the Nystrom rule: their normalized
-affinities to the training points averaged against each retained
-eigenvector, scaled by lambda_l^(t-1).
+stability. Only the top embed_dim + 1 eigenpairs are solved for and
+kept: the trivial pair (lambda_0 = 1, constant eigenvector) and the
+embed_dim retained pairs. Embedding coordinates are lambda_l^t * phi_l(i)
+over the retained pairs. New points are embedded by the Nystrom rule:
+their normalized affinities to the training points averaged against each
+retained eigenvector, scaled by lambda_l^(t-1).
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ class DiffusionModel:
     columns, n x (embed_dim + 1); column 0 is constant. embedding is
     n x embed_dim (rows are embedded training points). No n x n array is
     kept.
+
+    The solve: sweeps is the number of subspace-iteration sweeps run (0
+    when the block was too wide to iterate), residual the largest
+    ||S v - theta v|| over the kept pairs of the symmetric conjugate S,
+    and dense_fallback whether the kept pairs came from the dense
+    eigensolver instead.
     """
 
     train_points: np.ndarray
@@ -59,6 +65,9 @@ class DiffusionModel:
     bandwidth: float
     time: int
     embed_dim: int
+    sweeps: int
+    residual: float
+    dense_fallback: bool
 
     def __post_init__(self):
         if abs(self.eigenvalues[0] - 1.0) > 1e-8:
@@ -71,6 +80,63 @@ def affinity(Xhat, bandwidth):
     """Gaussian affinities W_ij = exp(-||x_i - x_j||^2 / sigma^2), sigma as in fit; symmetric, unit diagonal."""
     S = pairwise_sq_distances(np.asarray(Xhat, dtype=np.float64))
     return gaussian_kernel(S, _bandwidth(S, bandwidth), S)
+
+
+_OVERSAMPLE = 8  # block columns beyond the kept pairs
+_RESIDUAL_TOL = 1e-12  # on ||S v - theta v|| of every kept pair; S's spectrum lies in [0, 1]
+_MAX_SWEEPS = 30  # then the dense solve: a flat spectrum's fit costs about 1.3x the dense-only fit at n = 300
+
+
+def _start_block(top, width):
+    """The deterministic n x width start block: top, then width - 1 columns of Roberts' R-sequence.
+
+    Column j >= 1 is frac(i * alpha_j) - 1/2 over rows i = 1..n, a Weyl
+    sequence with alpha_j = g^-j, where g > 1 solves g^width = g + 1.
+    Plain arithmetic, so no random generator is loaded.
+    """
+    g = 2.0
+    for _ in range(64):  # the fixed point g = (1 + g)^(1/width) attracts every g > 0
+        g = (1.0 + g) ** (1.0 / width)
+    block = np.empty((len(top), width))
+    block[:, 0] = top
+    block[:, 1:] = np.outer(np.arange(1.0, len(top) + 1), g ** -np.arange(1.0, width)) % 1.0 - 0.5
+    return block
+
+
+def _largest_residual(SV, V, values):
+    """The largest column norm of SV - V diag(values)."""
+    R = SV - V * values
+    return float(np.sqrt(np.einsum("ij,ij->j", R, R).max()))
+
+
+def _kept_pairs(S, top, kept):
+    """The top `kept` eigenpairs of the symmetric positive semidefinite S.
+
+    Block subspace iteration with Rayleigh-Ritz on kept + _OVERSAMPLE
+    columns: each sweep is one S @ Q, the Ritz pairs of Q^T S Q, and a QR
+    of S @ Q, until every kept pair's residual is at most _RESIDUAL_TOL.
+    `top` is S's known top eigenvector (unnormalised) and starts the block.
+    The dense eigensolver runs instead when the block is at least half as
+    wide as S, or after _MAX_SWEEPS sweeps. Returns (values descending,
+    unit vectors, sweeps, largest residual, whether the dense solve ran).
+    """
+    n = len(top)
+    width = min(n, kept + _OVERSAMPLE)
+    sweeps = 0
+    if 2 * width < n:
+        Q, _ = np.linalg.qr(_start_block(top, width))
+        for sweeps in range(1, _MAX_SWEEPS + 1):
+            Z = S @ Q
+            theta, U = np.linalg.eigh(Q.T @ Z)  # ascending; reads one triangle
+            theta, U = theta[::-1][:kept], U[:, ::-1][:, :kept]
+            V = Q @ U
+            residual = _largest_residual(Z @ U, V, theta)
+            if residual <= _RESIDUAL_TOL:
+                return theta, V, sweeps, residual, False
+            Q, _ = np.linalg.qr(Z)
+    values, vectors = _sorted_eigh(S, kept)
+    values = values[:kept]
+    return values, vectors, sweeps, _largest_residual(S @ vectors, vectors, values), True
 
 
 def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
@@ -89,11 +155,10 @@ def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
     inv_root = 1.0 / np.sqrt(gaussian_kernel(S, sigma, S).sum(axis=1))
     for i, scale in enumerate(inv_root):
         S[i] *= scale * inv_root
-    values, phi = _sorted_eigh(S, kept)
-    values = values[:kept]
+    values, phi, sweeps, residual, dense = _kept_pairs(S, 1.0 / inv_root, kept)
     phi *= inv_root[:, None]  # right eigenvectors of T
     phi /= np.linalg.norm(phi, axis=0, keepdims=True)
-    _fix_signs(phi)  # again: the rescale can move each column's largest entry
+    _fix_signs(phi)  # after the rescale, which can move each column's largest entry
 
     embedding = phi[:, 1:] * (values[1:] ** config.time)[None, :]
     return DiffusionModel(
@@ -104,6 +169,9 @@ def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
         bandwidth=sigma,
         time=config.time,
         embed_dim=config.embed_dim,
+        sweeps=sweeps,
+        residual=residual,
+        dense_fallback=dense,
     )
 
 

@@ -216,6 +216,22 @@ def transition_eig_oracle(T):
     return values.real[order], vectors.real[:, order]
 
 
+def diffusion_eig_oracle(X, sigma, kept):
+    """Top `kept` transition eigenpairs by a dense eigh of the symmetric conjugate.
+
+    The affinity comes from broadcast differences summed feature by
+    feature, the conjugate is W / sqrt(d_i d_j) as a whole matrix, and
+    every eigenpair is solved. Returns (values descending, unit right
+    eigenvectors of T).
+    """
+    W = np.exp(-sum((x[:, None] - x[None, :]) ** 2 for x in X) / sigma**2)
+    degree = W.sum(axis=1)
+    values, vectors = np.linalg.eigh(W / np.sqrt(np.outer(degree, degree)))
+    order = np.argsort(values)[::-1][:kept]
+    phi = vectors[:, order] / np.sqrt(degree)[:, None]
+    return values[order], phi / np.linalg.norm(phi, axis=0)
+
+
 def csv_rows_oracle(header, rows, lead=None, tail=None):
     """CSV text written field by field through csv.writer: per row the `lead`
     field, each float as repr(float(v)), then the `tail` field."""

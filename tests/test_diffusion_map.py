@@ -1,16 +1,21 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sklpdm import DataError, DiffusionConfig, NumericalError, affinity
-from sklpdm import diffusion_map, sklp_projection
+import sklpdm
+from sklpdm import DataError, DiffusionConfig, NumericalError, SilhouetteImage, affinity
+from sklpdm import diffusion_map, r_transform, radon, sklp_projection
 
-from oracles import csv_rows_oracle, row_normalized, transition_eig_oracle
+from oracles import csv_rows_oracle, diffusion_eig_oracle, row_normalized, transition_eig_oracle
 
 
 def ring_points(n, radius=1.0):
@@ -162,6 +167,97 @@ class TestFit:
                 np.max(np.abs(a.embedding[:, col] + b.embedding[:, col])),
             )
             assert agreement <= 1e-8
+
+
+def ring_fold():
+    """The SKLP-projected training fold of a 5-ring, 6-group set: n = 250 columns in 4 dimensions."""
+    data = sklpdm.with_groups(sklpdm.gen_ring_classes(5, 60, 0.5, 60, 3), 6)
+    train = data.groups != 0
+    fold = sklpdm.LabeledDataset(data.features[:, train], data.labels[train], data.class_count)
+    model, _ = sklpdm.fit(fold, sklpdm.SklpConfig(rho=0.6))
+    return sklpdm.project(model, fold.features)
+
+
+def silhouette_profiles(count, seed):
+    """Angle profiles (180 angles) of 64 x 44 frames: an elliptic body and two bar limbs at drawn angles."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[-32:32, -22:22].astype(np.float64)
+    columns = []
+    for _ in range(count):
+        height, width = rng.uniform(10, 16), rng.uniform(4, 8)
+        pixels = (yy / height) ** 2 + (xx / width) ** 2 <= 1.0
+        for angle in rng.uniform(0.0, math.pi, 2):
+            along = xx * math.cos(angle) + (yy + 4) * math.sin(angle)
+            across = -xx * math.sin(angle) + (yy + 4) * math.cos(angle)
+            pixels |= (np.abs(along) <= rng.uniform(12, 20)) & (np.abs(across) <= 2.5)
+        columns.append(r_transform(radon(SilhouetteImage(pixels.astype(np.uint8)), 180)))
+    return np.array(columns).T
+
+
+def assert_matches_dense_oracle(X, model):
+    values, vectors = diffusion_eig_oracle(X, model.bandwidth, model.embed_dim + 1)
+    assert np.max(np.abs(model.eigenvalues - values)) <= 1e-10
+    for ours, expected in zip(model.eigenvectors.T, vectors.T):
+        assert min(np.max(np.abs(ours - expected)), np.max(np.abs(ours + expected))) <= 1e-10
+    assert model.residual <= 1e-12
+
+
+class TestSolve:
+    def test_ring_fold_iterates_to_the_dense_pairs(self):
+        X = ring_fold()
+        model = diffusion_map.fit(X, DiffusionConfig(embed_dim=2))
+        assert X.shape[1] == 250
+        assert not model.dense_fallback and 0 < model.sweeps < diffusion_map._MAX_SWEEPS
+        assert_matches_dense_oracle(X, model)
+
+    def test_silhouette_profiles_iterate_to_the_dense_pairs(self):
+        X = silhouette_profiles(200, 0)
+        model = diffusion_map.fit(X, DiffusionConfig(embed_dim=3))
+        assert not model.dense_fallback and 0 < model.sweeps < diffusion_map._MAX_SWEEPS
+        assert_matches_dense_oracle(X, model)
+
+    def test_flat_spectrum_falls_back_to_the_dense_solve(self):
+        rng = np.random.default_rng(0)
+        X = rng.random((180, 300))
+        X /= X.sum(axis=0)
+        model = diffusion_map.fit(X, DiffusionConfig(embed_dim=2))
+        assert model.dense_fallback and model.sweeps == diffusion_map._MAX_SWEEPS
+        assert_matches_dense_oracle(X, model)
+
+    def test_duplicated_columns_converge(self):
+        half = silhouette_profiles(80, 1)
+        X = np.hstack([half, half])
+        model = diffusion_map.fit(X, DiffusionConfig(embed_dim=2))
+        assert not model.dense_fallback and 0 < model.sweeps < diffusion_map._MAX_SWEEPS
+        assert_matches_dense_oracle(X, model)
+        np.testing.assert_allclose(model.embedding[:80], model.embedding[80:], rtol=0, atol=1e-12)
+
+    def test_narrow_data_is_solved_densely(self):
+        # a block of embed_dim + 9 columns is at least half as wide as n = 22
+        X = ring_points(22)
+        model = diffusion_map.fit(X, DiffusionConfig(embed_dim=2))
+        assert (model.sweeps, model.dense_fallback) == (0, True)
+        assert_matches_dense_oracle(X, model)
+
+    def test_fit_loads_no_random_generator(self):
+        # points are made without numpy.random, and the solve must not load it either
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from sklpdm import DiffusionConfig, diffusion_map\n"
+            "angles = np.arange(120) * 0.05 + 0.1 * np.sin(np.arange(120))\n"
+            "X = np.vstack([np.cos(angles), np.sin(angles), angles])\n"
+            "model = diffusion_map.fit(X, DiffusionConfig(embed_dim=3))\n"
+            "diffusion_map.extend(model, X[:, :5])\n"
+            "assert model.sweeps > 0 and not model.dense_fallback, model.sweeps\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(sklpdm.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestExtend:

@@ -121,6 +121,8 @@ def test_compare_outputs_flags_each_breach():
         dict(dm, extended=[[0.125], [0.0]]),
     ]
     assert [deviations(dm, changed)[1] for changed in breaches] == [False] * len(breaches)
+    summary, ok = deviations(dict(dm, solve="dense"), dict(dm, solve="iterative, 12 sweeps"))
+    assert ok and summary.endswith("(solve dense / iterative, 12 sweeps)")
 
 
 def run_compare(old, new):
@@ -134,8 +136,12 @@ def test_compare_outputs_accepts_a_tree_against_itself():
     src = Path(sklpdm.__file__).resolve().parents[1]
     code, verdicts, output = run_compare(src, src)
     assert code == 0, output
-    assert "BREACH" not in output and "26/26 cases within the contract" in output
-    assert len([name for name in verdicts if name.startswith("diffusion")]) == 6
+    assert "BREACH" not in output and "28/28 cases within the contract" in output
+    assert len([name for name in verdicts if name.startswith("diffusion")]) == 8
+    assert re.search(r"^ok +diffusion ring fold n=250: .*\(solve iterative, \d+ sweeps / iterative, \d+ sweeps\)$",
+                     output, re.M), output
+    assert re.search(r"^ok +diffusion flat spectrum n=300: .*\(solve dense after 30 sweeps / dense after 30 sweeps\)$",
+                     output, re.M), output
 
 
 def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):
@@ -150,6 +156,6 @@ def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):
         )
     code, verdicts, output = run_compare(src, tmp_path)
     diffusion = [name for name in verdicts if name.startswith("diffusion")]
-    assert len(verdicts) == 26 and len(diffusion) == 6, output
+    assert len(verdicts) == 28 and len(diffusion) == 8, output
     assert [name for name, status in verdicts.items() if status == "BREACH"] == diffusion
     assert code == 1

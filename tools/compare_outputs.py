@@ -6,9 +6,10 @@ OLD_SRC and NEW_SRC are directories that hold an `sklpdm` package (a
 checkout's `src`). The tool runs a fixed set of SKLP fits, diffusion fits
 with their Nystrom extensions, and all 8 cross-validation pipelines
 (4 reductions x KNN/SVM) once per tree, each in its own subprocess with
-only that tree on PYTHONPATH. It prints every case's deviations and exits
-1 if any case breaches the contract that the README states under
-"Tolerance contract":
+only that tree on PYTHONPATH. It prints every case's deviations, and for
+a diffusion case how each tree solved it (iterative or dense, and the
+sweeps run). It exits 1 if any case breaches the contract that the README
+states under "Tolerance contract":
 
   - SKLP fits: the same iteration count and best iterate, every objective
     within 1e-12 (|J| + 1), and the kept directions within 1e-10;
@@ -55,7 +56,27 @@ def diffusion_cases(sklpdm):
         for sigma in (3.0, "auto"):
             cases[f"diffusion n={n} sigma={sigma}"] = (
                 X[:, ~held], X[:, held], sklpdm.DiffusionConfig(bandwidth=sigma, embed_dim=3, time=2))
+    # the sklp+dm arm's training fold (n = 250) and held-out group, as cross_validate_actions feeds them
+    data = sklpdm.with_groups(sklpdm.gen_ring_classes(5, 60, 0.5, 60, 3), 6)
+    held = data.groups == 0
+    fold = sklpdm.LabeledDataset(data.features[:, ~held], data.labels[~held], data.class_count)
+    model, _ = sklpdm.fit(fold, sklpdm.SklpConfig(rho=0.6))
+    cases["diffusion ring fold n=250"] = (
+        sklpdm.project(model, fold.features), sklpdm.project(model, data.features[:, held]),
+        sklpdm.DiffusionConfig())
+    # unit-sum uniform columns: a flat spectrum that exhausts the sweep cap (n = 300)
+    X = np.random.default_rng(0).random((180, 360))
+    X /= X.sum(axis=0)
+    cases["diffusion flat spectrum n=300"] = (X[:, :300], X[:, 300:], sklpdm.DiffusionConfig(embed_dim=2))
     return cases
+
+
+def solve_summary(model):
+    """How a diffusion fit solved its pairs; a tree without the solve fields solved densely."""
+    sweeps = getattr(model, "sweeps", 0)
+    if not getattr(model, "dense_fallback", True):
+        return f"iterative, {sweeps} sweeps"
+    return f"dense after {sweeps} sweeps" if sweeps else "dense"
 
 
 def collect():
@@ -78,6 +99,7 @@ def collect():
             "eigenvalues": model.eigenvalues.tolist(),
             "embedding": model.embedding.tolist(),
             "extended": diffusion_map.extend(model, held).tolist(),
+            "solve": solve_summary(model),
         }
     data = sklpdm.with_groups(sklpdm.gen_ring_classes(4, 48, 0.5, 30, 7), 4)
     for reduction in classify_eval.PIPELINES:
@@ -99,7 +121,10 @@ def deviations(old, new):
     if "embedding" in old:
         pairs = [(np.array(old[key]), np.array(new[key])) for key in ("eigenvalues", "embedding", "extended")]
         d_max = max(np.max(np.abs(b - a)) if a.shape == b.shape else np.inf for a, b in pairs)
-        return f"eigenvalues, embedding and extension {d_max:.1e}", bool(d_max <= MODEL_TOL)
+        summary = f"eigenvalues, embedding and extension {d_max:.1e}"
+        if "solve" in old:
+            summary += f" (solve {old['solve']} / {new['solve']})"
+        return summary, bool(d_max <= MODEL_TOL)
     summary = f"iterations {old['iteration']}/{new['iteration']} best {old['best_index']}/{new['best_index']}"
     if (old["iteration"], old["best_index"]) != (new["iteration"], new["best_index"]):
         return summary, False
