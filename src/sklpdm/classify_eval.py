@@ -244,7 +244,10 @@ class PipelineConfig:
 
     sklp.target_dim sets the dimension of every linear projection arm
     ("auto" = K - 1). The same DiffusionConfig drives the `dm` and
-    `sklp+dm` arms so their parameters stay identical.
+    `sklp+dm` arms so their parameters stay identical. Each arm reads only
+    its own configs: `pca` and `lda` read sklp.target_dim and no other
+    SKLP field, only the two diffusion arms read `diffusion`, and only the
+    named classifier's config is read.
     """
 
     reduction: str = "sklp+dm"
@@ -271,13 +274,13 @@ class CrossValidationResult:
 
 def _embed_fold(train_X, train_y, test_X, class_count, pipeline: PipelineConfig):
     """Fit the named reduction on the training side; embed both sides."""
-    d = sklp_projection.output_dim(pipeline.sklp.target_dim, class_count, *train_X.shape)
-    if pipeline.reduction == "pca":
-        model = baselines.pca_fit(train_X, d)
-        return sklp_projection.project(model, train_X), sklp_projection.project(model, test_X)
-    if pipeline.reduction == "lda":
-        fold_set = LabeledDataset(features=train_X, labels=train_y, class_count=class_count)
-        model = baselines.lda_fit(fold_set, d)
+    if pipeline.reduction in ("pca", "lda"):
+        d = sklp_projection.output_dim(pipeline.sklp.target_dim, class_count, *train_X.shape)
+        if pipeline.reduction == "pca":
+            model = baselines.pca_fit(train_X, d)
+        else:
+            fold_set = LabeledDataset(features=train_X, labels=train_y, class_count=class_count)
+            model = baselines.lda_fit(fold_set, d)
         return sklp_projection.project(model, train_X), sklp_projection.project(model, test_X)
     if pipeline.reduction == "sklp+dm":
         fold_set = LabeledDataset(features=train_X, labels=train_y, class_count=class_count)
@@ -286,6 +289,19 @@ def _embed_fold(train_X, train_y, test_X, class_count, pipeline: PipelineConfig)
         test_X = sklp_projection.project(model, test_X)
     dm = diffusion_map.fit(train_X, pipeline.diffusion)
     return dm.embedding.T, diffusion_map.extend(dm, test_X).T
+
+
+def _settings_read(pipeline: PipelineConfig):
+    """The pipeline's settings that its arm reads, keyed like its fields: what a result echoes."""
+    settings = {"reduction": pipeline.reduction, "classifier": pipeline.classifier}
+    if pipeline.reduction in ("pca", "lda"):
+        settings["sklp"] = {"target_dim": pipeline.sklp.target_dim}
+    else:
+        if pipeline.reduction == "sklp+dm":
+            settings["sklp"] = asdict(pipeline.sklp)
+        settings["diffusion"] = asdict(pipeline.diffusion)
+    settings[pipeline.classifier] = asdict(getattr(pipeline, pipeline.classifier))
+    return settings
 
 
 def cross_validate_actions(dataset: LabeledDataset, pipeline: PipelineConfig) -> CrossValidationResult:
@@ -323,5 +339,5 @@ def cross_validate_actions(dataset: LabeledDataset, pipeline: PipelineConfig) ->
         confusion=matrix,
         accuracy=matrix.accuracy,
         fold_accuracies=tuple(fold_accuracies),
-        pipeline=asdict(pipeline),
+        pipeline=_settings_read(pipeline),
     )

@@ -79,7 +79,7 @@ def _add_classifier_flags(knn_command, svm_command):
 
 
 def _build_parser():
-    """One subparser per command, and per kind of synth, fit and classify: each takes only flags it reads."""
+    """One subparser per command, per kind, and per evaluate arm and classifier: each takes only flags it reads."""
     parser = _Parser(prog="sklpdm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sklpdm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -143,17 +143,30 @@ def _build_parser():
         method.add_argument("--vote-by-group", action="store_true")
         method.add_argument("--report", required=True)
 
-    evaluate = sub.add_parser("evaluate", help="leave-one-group-out pipeline evaluation")
-    evaluate.add_argument("--data", required=True)
-    evaluate.add_argument("--pipeline", choices=list(classify_eval.PIPELINES), required=True)
-    evaluate.add_argument("--classifier", choices=["knn", "svm"], default="knn")
-    _add_sklp_flags(evaluate)
-    evaluate.add_argument("--dm-dim", type=int, default=0, help="0 = match the projection dimension")
-    evaluate.add_argument("--dm-sigma", type=_auto_or_float, default=dm.bandwidth)
-    evaluate.add_argument("--time", type=int, default=dm.time)
-    _add_classifier_flags(evaluate, evaluate)
-    evaluate.add_argument("--report", required=True)
-    evaluate.add_argument("--confusion", required=True)
+    arms = sub.add_parser(
+        "evaluate", help="leave-one-group-out evaluation of one reduction arm and classifier"
+    ).add_subparsers(dest="pipeline", required=True)
+    arm_help = {"pca": "PCA baseline projection", "lda": "LDA baseline projection",
+                "dm": "diffusion map of the raw features", "sklp+dm": "SKLP projection, then a diffusion map"}
+    for reduction in classify_eval.PIPELINES:
+        classifiers = arms.add_parser(reduction, help=arm_help[reduction]).add_subparsers(
+            dest="classifier", required=True)
+        knn = classifiers.add_parser("knn", help="k-nearest neighbours")
+        svm = classifiers.add_parser("svm", help="one-vs-rest linear SVM")
+        _add_classifier_flags(knn, svm)
+        for leaf in (knn, svm):
+            leaf.add_argument("--data", required=True)
+            if reduction in ("pca", "lda"):
+                leaf.add_argument("--dim", type=_auto_or_int, default="auto")
+            if reduction == "sklp+dm":
+                _add_sklp_flags(leaf)
+            if reduction in ("dm", "sklp+dm"):
+                leaf.add_argument("--dm-dim", type=int, default=0,
+                                  help="0 = the projection dimension (K - 1, capped, for dm)")
+                leaf.add_argument("--dm-sigma", type=_auto_or_float, default=dm.bandwidth)
+                leaf.add_argument("--time", type=int, default=dm.time)
+            leaf.add_argument("--report", required=True)
+            leaf.add_argument("--confusion", required=True)
 
     trace = sub.add_parser("trace", help="per-iteration objective trace of a projection fit")
     trace.add_argument("--data", required=True)
@@ -354,19 +367,23 @@ def _cmd_classify(args):
 
 def _cmd_evaluate(args):
     data = load_csv(args.data)
-    sklp_cfg = _sklp_config_from(args)
-    d = sklp_projection.output_dim(args.dim, data.class_count, data.dim, data.sample_count)
-    dm_dim = args.dm_dim or d
-    pipeline = classify_eval.PipelineConfig(
-        reduction=args.pipeline,
-        classifier=args.classifier,
-        knn=classify_eval.KnnConfig(k=args.k),
-        svm=classify_eval.SvmConfig(regularization=args.reg, epochs=args.epochs),
-        sklp=sklp_cfg,
-        diffusion=diffusion_map.DiffusionConfig(
-            bandwidth=args.dm_sigma, embed_dim=dm_dim, time=args.time
-        ),
-    )
+    configs = {}  # only the configs this arm reads; the others keep their unread defaults
+    if args.pipeline in ("pca", "lda"):
+        configs["sklp"] = sklp_projection.SklpConfig(target_dim=args.dim)
+    else:
+        if args.pipeline == "sklp+dm":
+            configs["sklp"] = _sklp_config_from(args)
+        # --dm-dim 0 follows the projection dimension; the dm arm projects to K - 1, capped
+        target_dim = args.dim if args.pipeline == "sklp+dm" else "auto"
+        dm_dim = args.dm_dim or sklp_projection.output_dim(
+            target_dim, data.class_count, data.dim, data.sample_count)
+        configs["diffusion"] = diffusion_map.DiffusionConfig(
+            bandwidth=args.dm_sigma, embed_dim=dm_dim, time=args.time)
+    if args.classifier == "knn":
+        configs["knn"] = classify_eval.KnnConfig(k=args.k)
+    else:
+        configs["svm"] = classify_eval.SvmConfig(regularization=args.reg, epochs=args.epochs)
+    pipeline = classify_eval.PipelineConfig(reduction=args.pipeline, classifier=args.classifier, **configs)
     result = classify_eval.cross_validate_actions(data, pipeline)
     text = _report_text(
         f"leave-one-group-out evaluation ({args.pipeline} / {args.classifier})",

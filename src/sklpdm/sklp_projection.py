@@ -130,8 +130,9 @@ class SklpState:
 
     M holds the current symmetric matrix of low-dimensional squared
     distances and m_c / m_o its kernel averages, from which the next pair
-    weights are built. sigma and class_weights are the bandwidth and the
-    pair-count default lambda_k that init_state resolved.
+    weights are built. sigma, dim and class_weights are the bandwidth, the
+    output dimension d and the pair-count default lambda_k that init_state
+    resolved.
     objective_history[0] is the objective at initialization; entry t is
     the objective after iteration t, and eigenvalue_history[t] the
     eigenvalues of the directions chosen there. predicted_increments
@@ -149,6 +150,7 @@ class SklpState:
     objective_history: list = field(default_factory=list)
     iteration: int = 0
     sigma: float = 0.0
+    dim: int = 0
     class_weights: np.ndarray | None = None
     predicted_increments: list = field(default_factory=list)
     eigenvalue_history: list = field(default_factory=list)
@@ -471,6 +473,7 @@ def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
         objective_history=[J0],
         iteration=0,
         sigma=sigma,
+        dim=d,
         class_weights=weights,
         eigenvalue_history=[init_values],
         best_index=0,
@@ -493,7 +496,6 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
     X = dataset.features
     labels = dataset.labels
     K = dataset.class_count
-    d = output_dim(config.target_dim, K, dataset.dim, dataset.sample_count)
     n_k, n_o = _pair_counts(labels, K)
     increment_constant = float(
         (1.0 - config.rho) * np.sum(state.class_weights * n_k) - config.rho * n_o
@@ -505,7 +507,7 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
         W = alpha_weights(state.m_c, state.m_o, config.rho, state.class_weights)
         scatter = scatter_matrix(moments, W)
         try:
-            values, P = solve_eig(scatter, d)
+            values, P = solve_eig(scatter, state.dim)
         except NumericalError as exc:
             raise NumericalError(
                 f"iteration {t} with rho={config.rho}: {exc}; a larger rho weights "

@@ -485,7 +485,7 @@ def test_criterion_9_determinism_and_round_trips(tmp_path):
     for report in (report_a, report_b):
         assert cli_run(
             [
-                "evaluate", "--data", str(data_path), "--pipeline", "sklp+dm",
+                "evaluate", "sklp+dm", "knn", "--data", str(data_path),
                 "--rho", "0.6", "--report", str(report),
                 "--confusion", str(tmp_path / (report.name + ".csv")),
             ]

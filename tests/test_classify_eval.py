@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -289,6 +290,24 @@ class TestCrossValidate:
         pipeline = PipelineConfig(reduction="pca", sklp=SklpConfig(target_dim=1))
         with pytest.raises(DataError, match="class"):
             cross_validate_actions(data, pipeline)
+
+    def test_result_echoes_only_the_settings_its_arm_reads(self):
+        data = with_groups(gen_gaussian_classes(3, 8, 4, spread=1.0, separation=6.0, seed=0), 2)
+        sklp = SklpConfig(rho=0.5, max_iters=2, target_dim=2)
+        for reduction in ("pca", "lda", "dm", "sklp+dm"):
+            for classifier in ("knn", "svm"):
+                pipeline = PipelineConfig(reduction=reduction, classifier=classifier, sklp=sklp,
+                                          svm=SvmConfig(epochs=5))
+                echo = cross_validate_actions(data, pipeline).pipeline
+                expected = {"reduction": reduction, "classifier": classifier,
+                            classifier: dataclasses.asdict(getattr(pipeline, classifier))}
+                if reduction in ("pca", "lda"):
+                    expected["sklp"] = {"target_dim": 2}
+                else:
+                    expected["diffusion"] = dataclasses.asdict(pipeline.diffusion)
+                if reduction == "sklp+dm":
+                    expected["sklp"] = dataclasses.asdict(sklp)
+                assert echo == expected, (reduction, classifier)
 
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(DataError):

@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from sklpdm import DiffusionConfig, KnnConfig, SklpConfig, SvmConfig, load_csv, load_model, save_csv
-from sklpdm.cli import _build_parser, run
+from sklpdm.cli import _auto_or_float, _build_parser, run
 
 
 def invoke(*argv):
@@ -33,6 +35,8 @@ def gaussian_csv(tmp_path):
     return out
 
 
+SKLP_FLOATS = [("--rho", "rho"), ("--eta", "learning_rate"), ("--sigma", "kernel_bandwidth"),
+               ("--tol", "rel_tolerance")]
 # (command and kind, flag, the setting its data error names): every float flag of every command and kind
 FLOAT_FLAGS = [
     (["synth", "gaussian"], "--spread", "spread"),
@@ -40,33 +44,61 @@ FLOAT_FLAGS = [
     (["synth", "rings"], "--noise", "noise"),
     *[
         (command, flag, setting)
-        for command in (["fit", "sklp"], ["trace"], ["evaluate", "--pipeline", "sklp+dm"])
-        for flag, setting in [("--rho", "rho"), ("--eta", "learning_rate"), ("--sigma", "kernel_bandwidth"),
-                              ("--tol", "rel_tolerance")]
+        for command in (["fit", "sklp"], ["trace"], ["evaluate", "sklp+dm", "knn"])
+        for flag, setting in SKLP_FLOATS
     ],
     (["diffuse"], "--sigma", "bandwidth"),
-    (["evaluate", "--pipeline", "dm"], "--dm-sigma", "bandwidth"),
-    (["evaluate", "--pipeline", "pca", "--classifier", "svm"], "--reg", "regularization"),
+    (["evaluate", "dm", "knn"], "--dm-sigma", "bandwidth"),
+    (["evaluate", "pca", "svm"], "--reg", "regularization"),
     (["classify", "svm"], "--reg", "regularization"),
 ]
 BANDWIDTH_FLAGS = [
     (["fit", "sklp"], "--sigma", "kernel_bandwidth"),
     (["trace"], "--sigma", "kernel_bandwidth"),
     (["diffuse"], "--sigma", "bandwidth"),
-    (["evaluate", "--pipeline", "dm"], "--dm-sigma", "bandwidth"),
+    (["evaluate", "dm", "knn"], "--dm-sigma", "bandwidth"),
 ]
-UNUSABLE_SETTINGS = [
-    (command, flag, setting, value)
-    for command, flag, setting in BANDWIDTH_FLAGS
-    for value in ["0", "-1", "nan", "inf", "1e-200", "1e200"]
-] + [(["fit", "sklp"], "--tol", "rel_tolerance", "nan")] + [
-    (command, flag, setting, "1e-160") for command, flag, setting in BANDWIDTH_FLAGS
-]
-UNUSABLE_SETTINGS += [
-    case
-    for case in ((*flag, value) for flag in FLOAT_FLAGS for value in ("nan", "inf"))
-    if case not in UNUSABLE_SETTINGS
-] + [(["synth", "rings"], "--seed", "seed", "-1"), (["synth", "gaussian"], "--groups", "groups", "-2")]
+
+
+def unusable_settings():
+    """Each bandwidth flag at every value that breaks the bandwidth rule, and each float flag at nan and inf."""
+    cases = [
+        (command, flag, setting, value)
+        for command, flag, setting in BANDWIDTH_FLAGS
+        for value in ["0", "-1", "nan", "inf", "1e-200", "1e200"]
+    ] + [(["fit", "sklp"], "--tol", "rel_tolerance", "nan")] + [
+        (command, flag, setting, "1e-160") for command, flag, setting in BANDWIDTH_FLAGS
+    ]
+    return cases + [
+        case
+        for case in ((*flag, value) for flag in FLOAT_FLAGS for value in ("nan", "inf"))
+        if case not in cases
+    ]
+
+
+UNUSABLE_SETTINGS = unusable_settings() + [
+    (["synth", "rings"], "--seed", "seed", "-1"), (["synth", "gaussian"], "--groups", "groups", "-2")]
+# the float flags of the other evaluate leaves, swept after the cases above so that their ids keep their indices
+EVALUATE_BANDWIDTH_FLAGS = [
+    (["evaluate", "sklp+dm", classifier], flag, setting)
+    for classifier in ("knn", "svm")
+    for flag, setting in [("--sigma", "kernel_bandwidth"), ("--dm-sigma", "bandwidth")]
+] + [(["evaluate", "dm", "svm"], "--dm-sigma", "bandwidth")]
+BANDWIDTH_FLAGS += EVALUATE_BANDWIDTH_FLAGS
+FLOAT_FLAGS += [flag for flag in EVALUATE_BANDWIDTH_FLAGS if flag not in FLOAT_FLAGS] + [
+    (["evaluate", "sklp+dm", "svm"], flag, setting) for flag, setting in SKLP_FLOATS if flag != "--sigma"
+] + [(["evaluate", reduction, "svm"], "--reg", "regularization") for reduction in ("lda", "dm", "sklp+dm")]
+UNUSABLE_SETTINGS += [case for case in unusable_settings() if case not in UNUSABLE_SETTINGS]
+
+
+def parser_leaves(parser, path=()):
+    """(command path, parser) for every leaf of the parser tree, such as (("fit", "pca"), parser)."""
+    branches = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not branches:
+        yield path, parser
+    for branch in branches:
+        for name, child in branch.choices.items():
+            yield from parser_leaves(child, path + (name,))
 
 
 def io_flags(command, data, out, tmp_path):
@@ -115,7 +147,7 @@ class TestSynthAndFit:
         out = str(tmp_path / "nodir" / "r.txt")
         argv = {
             "classify": ["classify", "knn", "--train", data, "--test", data, "--report", out],
-            "evaluate": ["evaluate", "--data", data, "--pipeline", "pca", "--report", out,
+            "evaluate": ["evaluate", "pca", "knn", "--data", data, "--report", out,
                          "--confusion", str(tmp_path / "c.csv")],
             "trace": ["trace", "--data", data, "--rho", "0.5", "--max-iters", "2", "--out", out],
         }[command]
@@ -186,12 +218,13 @@ class TestSynthAndFit:
             assert "target_dim" not in (json.loads(out.read_text())["config"] or {}), kind
         report = tmp_path / "r.txt"
         assert invoke(
-            "evaluate", "--data", str(data), "--pipeline", "pca", "--dim", "50",
+            "evaluate", "pca", "knn", "--data", str(data), "--dim", "50",
             "--report", str(report), "--confusion", str(tmp_path / "c.csv"),
         ) == 0
         echo = json.loads(report.read_text().splitlines()[-1].removeprefix("configuration: "))
-        # evaluate's diffusion dimension follows its capped projection dimension
-        assert echo["diffusion"]["embed_dim"] == 8
+        # the pca arm runs no diffusion map, so its echo names none
+        assert "diffusion" not in echo
+        assert echo["sklp"] == {"target_dim": 50}
         assert dims == {"pca": 8, "lda": 2}  # capped at the 8 features and at K - 1
 
     def test_documented_wiring_example(self, tmp_path):
@@ -281,7 +314,7 @@ class TestDeterminismAndManifest:
             "diffuse": (["diffuse", "--data", data, "--out", out], [data], [out, out + ".model.json"]),
             "classify": (["classify", "knn", "--train", data, "--test", data, "--report", report],
                          [data, data], [report]),
-            "evaluate": (["evaluate", "--data", data, "--pipeline", "pca", "--report", report,
+            "evaluate": (["evaluate", "pca", "knn", "--data", data, "--report", report,
                           "--confusion", matrix], [data], [report, matrix]),
             "trace": (["trace", "--data", data, "--rho", "0.5", "--max-iters", "2", "--out", out],
                       [data], [out]),
@@ -392,9 +425,9 @@ class TestEvaluate:
         for pipeline in ("dm", "sklp+dm"):
             report = tmp_path / f"{pipeline}.txt"
             matrix = tmp_path / f"{pipeline}.confusion.csv"
+            rho = ["--rho", "0.6"] if pipeline == "sklp+dm" else []
             assert invoke(
-                "evaluate", "--data", str(data), "--pipeline", pipeline,
-                "--classifier", "knn", "--rho", "0.6",
+                "evaluate", pipeline, "knn", "--data", str(data), *rho,
                 "--report", str(report), "--confusion", str(matrix),
             ) == 0
             accuracies[pipeline] = read_accuracy(report)
@@ -410,7 +443,7 @@ class TestEvaluate:
             report = tmp_path / f"{tag}.txt"
             matrix = tmp_path / f"{tag}.csv"
             assert invoke(
-                "evaluate", "--data", str(data), "--pipeline", "pca",
+                "evaluate", "pca", "knn", "--data", str(data),
                 "--report", str(report), "--confusion", str(matrix),
             ) == 0
             texts.append(report.read_bytes() + matrix.read_bytes())
@@ -424,13 +457,30 @@ class TestEvaluate:
         ) == 0
         report = tmp_path / "r.txt"
         assert invoke(
-            "evaluate", "--data", str(data), "--pipeline", "sklp+dm", "--dim", "12",
+            "evaluate", "sklp+dm", "knn", "--data", str(data), "--dim", "12",
             "--rho", "0.6", "--max-iters", "3",
             "--report", str(report), "--confusion", str(tmp_path / "c.csv"),
         ) == 0
         line = report.read_text().splitlines()[-1]
         echo = json.loads(line.removeprefix("configuration: "))
         assert echo["diffusion"]["embed_dim"] == 4  # --dim 12 capped at the 4 features
+
+    def test_arm_records_and_echoes_only_its_settings(self, tmp_path):
+        data = tmp_path / "d.csv"
+        assert invoke(
+            "synth", "gaussian", "--classes", "2", "--per-class", "6", "--dim", "3",
+            "--seed", "1", "--groups", "2", "--out", str(data),
+        ) == 0
+        report = tmp_path / "r.txt"
+        assert invoke(
+            "evaluate", "pca", "knn", "--data", str(data), "--report", str(report),
+            "--confusion", str(tmp_path / "c.csv"),
+        ) == 0
+        manifest = json.loads((tmp_path / "r.txt.manifest.json").read_text())
+        assert set(manifest["flags"]) == {"pipeline", "classifier", "data", "dim", "k", "report", "confusion"}
+        echo = json.loads(report.read_text().splitlines()[-1].removeprefix("configuration: "))
+        # no svm, no diffusion, and no SKLP field but the projection dimension
+        assert echo == {"reduction": "pca", "classifier": "knn", "sklp": {"target_dim": "auto"}, "knn": {"k": 1}}
 
     def test_negative_dm_dim_exits_2(self, tmp_path, capsys):
         data = tmp_path / "rings.csv"
@@ -439,7 +489,7 @@ class TestEvaluate:
             "--noise", "0.2", "--seed", "2", "--groups", "3", "--out", str(data),
         ) == 0
         code = invoke(
-            "evaluate", "--data", str(data), "--pipeline", "sklp+dm", "--rho", "0.6",
+            "evaluate", "sklp+dm", "knn", "--data", str(data), "--rho", "0.6",
             "--dm-dim", "-1", "--report", str(tmp_path / "r.txt"),
             "--confusion", str(tmp_path / "c.csv"),
         )
@@ -468,8 +518,7 @@ def test_sklp_flag_defaults_match_config():
     parser = _build_parser()
     for argv in (
         ["fit", "sklp", "--data", "d.csv", "--out", "m.json"],
-        ["evaluate", "--data", "d.csv", "--pipeline", "sklp+dm", "--report", "r.txt",
-         "--confusion", "c.csv"],
+        ["evaluate", "sklp+dm", "knn", "--data", "d.csv", "--report", "r.txt", "--confusion", "c.csv"],
         ["trace", "--data", "d.csv", "--out", "t.csv"],
     ):
         flags = vars(parser.parse_args(argv))
@@ -601,7 +650,7 @@ def test_diffusion_flag_defaults_match_config():
         flag: getattr(default, name) for flag, name in table.items()
     }
     flags = vars(parser.parse_args(
-        ["evaluate", "--data", "d.csv", "--pipeline", "dm", "--report", "r.txt", "--confusion", "c.csv"]
+        ["evaluate", "dm", "knn", "--data", "d.csv", "--report", "r.txt", "--confusion", "c.csv"]
     ))
     # --dm-dim 0 follows the projection dimension
     assert (flags["dm_dim"], flags["dm_sigma"], flags["time"]) == (0, default.bandwidth, default.time)
@@ -616,15 +665,17 @@ def test_classifier_flag_defaults_match_config():
     svm = {flag: getattr(SvmConfig(), name) for flag, name in svm_table.items()}
     parser = _build_parser()
     io = {"command", "method", "train", "test", "vote_by_group", "report"}
+    evaluate_io = {"command", "pipeline", "classifier", "data", "dim", "report", "confusion"}
     for method, expected in (("knn", knn), ("svm", svm)):
         flags = vars(parser.parse_args(["classify", method, "--train", "a.csv", "--test", "b.csv",
                                         "--report", "r.txt"]))
         assert set(flags) == io | set(expected), method  # each method takes only its own settings
         assert {key: flags[key] for key in expected} == expected, method
-    flags = vars(parser.parse_args(
-        ["evaluate", "--data", "d.csv", "--pipeline", "pca", "--report", "r.txt", "--confusion", "c.csv"]
-    ))
-    assert {key: flags[key] for key in {**knn, **svm}} == {**knn, **svm}
+        flags = vars(parser.parse_args(
+            ["evaluate", "pca", method, "--data", "d.csv", "--report", "r.txt", "--confusion", "c.csv"]
+        ))
+        assert set(flags) == evaluate_io | set(expected), method
+        assert {key: flags[key] for key in expected} == expected, method
     assert "seed" not in flags  # svm training consumes no randomness
 
 
@@ -642,12 +693,18 @@ def test_synth_flags_per_shape():
     ["classify", "svm", "--k", "3"],
     ["synth", "gaussian", "--noise", "0.1"],
     ["synth", "rings", "--spread", "2"],
+    ["evaluate", "pca", "knn", "--dm-dim", "-3"],
+    ["evaluate", "dm", "svm", "--rho", "0.5"],
+    ["evaluate", "sklp+dm", "knn", "--reg", "1"],
+    ["evaluate", "pca", "svm", "--k", "3"],
 ])
 def test_flag_of_another_kind_is_a_usage_error(tmp_path, capsys, gaussian_csv, argv):
     out = tmp_path / "out"
     assert invoke(*argv, *io_flags(argv, str(gaussian_csv), str(out), tmp_path)) == 1
-    assert capsys.readouterr().err.startswith(f"usage error: unrecognized arguments: {argv[2]}")
+    flag = next(arg for arg in argv if arg.startswith("--"))
+    assert capsys.readouterr().err.startswith(f"usage error: unrecognized arguments: {flag}")
     assert not out.exists()
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_readme_cli_examples_parse():
@@ -659,3 +716,31 @@ def test_readme_cli_examples_parse():
     parser = _build_parser()
     for line in commands:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_every_float_flag_is_swept():
+    """FLOAT_FLAGS names every float flag of every leaf once, so each is swept at nan and inf."""
+    float_flags = {
+        (path, flag)
+        for path, leaf in parser_leaves(_build_parser())
+        for action in leaf._actions
+        if action.type in (float, _auto_or_float)
+        for flag in action.option_strings
+    }
+    assert sorted((tuple(command), flag) for command, flag, _ in FLOAT_FLAGS) == sorted(float_flags)
+
+
+def test_readme_flag_table_matches_parser():
+    """Each row of the README's CLI flag table lists exactly the flags of the leaves it names, and
+    every leaf of the parser has a row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command and kind | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    leaves = dict(parser_leaves(_build_parser()))
+    named = []
+    for row in table.splitlines():
+        names, flags = row.strip("|").split("|")
+        for name in re.findall(r"`([^`]+)`", names):
+            named.append(tuple(name.split()))
+            parsed = {flag for action in leaves[named[-1]]._actions for flag in action.option_strings}
+            assert parsed - {"-h", "--help"} == set(re.findall(r"--[a-z-]+", flags)), name
+    assert sorted(named) == sorted(leaves)

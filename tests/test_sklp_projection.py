@@ -107,6 +107,8 @@ class TestInitState:
         values, vectors = jacobi_eigh(cov)
         projected = vectors[:, :d].T @ data.features
         assert state.sigma == pytest.approx(median_pairwise_oracle(projected), rel=1e-9)
+        assert state.dim == d
+        assert init_state(data, SklpConfig(target_dim=50)).dim == 5  # capped at the 5 features
 
     def test_auto_bandwidth_equals_numpy_median(self):
         """Odd and even pair counts, and tied distances from integer points."""
