@@ -6,24 +6,22 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import DataError, NumericalError
-from .sklp_projection import ProjectionModel, _sorted_eigh, covariance, solve_eig
+from .sklp_projection import ProjectionModel, _sorted_eigh, covariance, output_dim, solve_eig
 
 
-def pca_fit(X, d) -> ProjectionModel:
+def pca_fit(dataset: LabeledDataset, target_dim="auto") -> ProjectionModel:
     """Top-d directions of the sample covariance (1/(n-1) normalization).
 
-    The mean is stored on the model and subtracted before projecting.
+    d is resolved from target_dim as SKLP resolves it (output_dim). The
+    mean is stored on the model and subtracted before projecting.
     Zero-variance directions are kept so the reported spectrum matches the
     covariance exactly.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DataError("X must be a 2-D matrix (columns are samples)")
+    X = dataset.features
     D, n = X.shape
     if n < 2:
         raise DataError("pca_fit needs at least 2 samples")
-    if d < 1 or d > min(D, n - 1):
-        raise DataError(f"d={d} too large: must satisfy 1 <= d <= min(D, n-1) = {min(D, n - 1)}")
+    d = output_dim(target_dim, dataset.class_count, D, n)
     mean, cov = covariance(X)
     values, vectors = _sorted_eigh(cov, d)
     return ProjectionModel(
@@ -36,15 +34,17 @@ def pca_fit(X, d) -> ProjectionModel:
     )
 
 
-def lda_fit(dataset: LabeledDataset, d) -> ProjectionModel:
-    """Discriminant directions from the ridge-regularized scatter pencil.
+def lda_fit(dataset: LabeledDataset, target_dim="auto") -> ProjectionModel:
+    """The top eigenvectors u of the whitened between-class scatter, applied to the raw features.
 
-    Solves the between/within scatter problem in whitened form: eigenvectors
-    of G^(-1/2) S_b G^(-1/2) with G = S_w + gamma I and
+    u are eigenvectors of G^(-1/2) S_b G^(-1/2) with G = S_w + gamma I and
     gamma = 1e-6 * trace(S_w) / D (floored when the within-scatter
-    vanishes, e.g. single-sample classes). The whitened formulation keeps
-    the returned columns orthonormal while the eigenvalues remain the
-    generalized discriminant values. d is capped at K - 1.
+    vanishes, e.g. single-sample classes). Their eigenvalues are the
+    generalized discriminant values of (S_b, G), and the columns are
+    orthonormal, but they are not Fisher's directions G^(-1/2) u: the two
+    span the same subspace only when S_w is proportional to I. d is
+    resolved from target_dim as SKLP resolves it (output_dim), then capped
+    at K - 1.
     """
     X = dataset.features
     labels = dataset.labels
@@ -52,9 +52,7 @@ def lda_fit(dataset: LabeledDataset, d) -> ProjectionModel:
     K = dataset.class_count
     if K < 2:
         raise DataError("lda_fit needs at least 2 classes")
-    if d < 1:
-        raise DataError(f"d={d} out of range: must be at least 1")
-    d = min(d, K - 1)
+    d = min(output_dim(target_dim, K, D, n), K - 1)
     overall_mean = X.mean(axis=1)
     S_w = np.zeros((D, D))
     S_b = np.zeros((D, D))

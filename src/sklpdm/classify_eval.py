@@ -274,19 +274,17 @@ class CrossValidationResult:
 
 def _embed_fold(train_X, train_y, test_X, class_count, pipeline: PipelineConfig):
     """Fit the named reduction on the training side; embed both sides."""
-    if pipeline.reduction in ("pca", "lda"):
-        d = sklp_projection.output_dim(pipeline.sklp.target_dim, class_count, *train_X.shape)
-        if pipeline.reduction == "pca":
-            model = baselines.pca_fit(train_X, d)
-        else:
-            fold_set = LabeledDataset(features=train_X, labels=train_y, class_count=class_count)
-            model = baselines.lda_fit(fold_set, d)
-        return sklp_projection.project(model, train_X), sklp_projection.project(model, test_X)
-    if pipeline.reduction == "sklp+dm":
+    if pipeline.reduction != "dm":
         fold_set = LabeledDataset(features=train_X, labels=train_y, class_count=class_count)
-        model, _ = sklp_projection.fit(fold_set, pipeline.sklp)
+        if pipeline.reduction == "sklp+dm":
+            model, _ = sklp_projection.fit(fold_set, pipeline.sklp)
+        else:
+            baseline_fit = baselines.pca_fit if pipeline.reduction == "pca" else baselines.lda_fit
+            model = baseline_fit(fold_set, pipeline.sklp.target_dim)
         train_X = sklp_projection.project(model, train_X)
         test_X = sklp_projection.project(model, test_X)
+        if pipeline.reduction != "sklp+dm":
+            return train_X, test_X
     dm = diffusion_map.fit(train_X, pipeline.diffusion)
     return dm.embedding.T, diffusion_map.extend(dm, test_X).T
 

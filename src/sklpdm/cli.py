@@ -269,8 +269,7 @@ def _cmd_fit(args):
     if args.kind == "sklp":
         model, _ = sklp_projection.fit(data, _sklp_config_from(args))
     else:
-        d = sklp_projection.output_dim(args.dim, data.class_count, data.dim, data.sample_count)
-        model = baselines.pca_fit(data.features, d) if args.kind == "pca" else baselines.lda_fit(data, d)
+        model = baselines.pca_fit(data, args.dim) if args.kind == "pca" else baselines.lda_fit(data, args.dim)
     sklp_projection.save_model(model, args.out)
     return args.out, [args.data], [args.out]
 

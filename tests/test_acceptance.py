@@ -169,7 +169,7 @@ def test_criterion_2_eigen_solution_contract(ring_sweep, blob_sweep):
             state.M = update_distances(state.M, P, data.features, config.learning_rate)
             fits += 1
 
-        pca = pca_fit(data.features, 3)
+        pca = pca_fit(data, 3)
         centered = data.features - pca.mean[:, None]
         covariance = centered @ centered.T / (data.sample_count - 1)
         _eigen_contract(pca.matrix, pca.eigenvalues, covariance)
@@ -332,7 +332,7 @@ def blob_sweep():
         model, state = sklp_projection.fit(train_set, sklp_cfg)
         states.append(state)
         d = model.dim_out
-        pca = pca_fit(train_set.features, d)
+        pca = pca_fit(train_set, d)
         truth = data.labels[~train]
         for tag, projector in (("sklp", model), ("pca", pca)):
             train_proj = sklp_projection.project(projector, data.features[:, train])

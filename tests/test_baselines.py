@@ -1,23 +1,35 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sklpdm import (
     DataError,
     LabeledDataset,
     NumericalError,
+    fit,
     gen_gaussian_classes,
+    gen_ring_classes,
     lda_fit,
     pca_fit,
     project,
 )
+from sklpdm.sklp_projection import output_dim
 
 from oracles import jacobi_eigh, knn_oracle
+
+
+def unlabeled(X):
+    """The columns of X as a one-class dataset, the input pca_fit takes."""
+    return LabeledDataset(features=X, labels=np.zeros(np.shape(X)[1], dtype=int), class_count=1)
 
 
 class TestPca:
     def test_axis_aligned_data(self):
         X = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
-        model = pca_fit(X, 2)
+        model = pca_fit(unlabeled(X), 2)
         np.testing.assert_allclose(np.abs(model.matrix[:, 0]), [1.0, 0.0], atol=1e-12)
         assert model.matrix[0, 0] > 0  # sign convention
         assert model.eigenvalues[1] == pytest.approx(0.0, abs=1e-12)
@@ -25,7 +37,7 @@ class TestPca:
     def test_isotropic_contract(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((3, 400))
-        model = pca_fit(X, 2)
+        model = pca_fit(unlabeled(X), 2)
         gram = model.matrix.T @ model.matrix
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
         centered = X - X.mean(axis=1, keepdims=True)
@@ -36,23 +48,26 @@ class TestPca:
     def test_matches_jacobi_oracle(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((10, 20))
-        model = pca_fit(X, 3)
+        model = pca_fit(unlabeled(X), 3)
         centered = X - X.mean(axis=1, keepdims=True)
         cov = centered @ centered.T / 19
         oracle_values, _ = jacobi_eigh(cov)
         np.testing.assert_allclose(model.eigenvalues, oracle_values[:3], atol=1e-9)
 
     def test_d_too_large(self):
-        X = np.random.default_rng(2).standard_normal((3, 4))
-        with pytest.raises(DataError, match="too large"):
-            pca_fit(X, 4)
+        # capped at min(D, n - 1), as `fit pca --dim` caps it
+        X = np.random.default_rng(2).standard_normal((3, 5))
+        model = pca_fit(unlabeled(X), 7)
+        assert model.dim_out == 3 and model.matrix.shape == (3, 3)
+        np.testing.assert_array_equal(model.matrix, pca_fit(unlabeled(X), 3).matrix)
+        assert pca_fit(unlabeled(X[:, :3]), 7).dim_out == 2
 
     def test_reconstruction_error_nonincreasing_in_d(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((6, 30))
         errors = []
         for d in range(1, 6):
-            model = pca_fit(X, d)
+            model = pca_fit(unlabeled(X), d)
             centered = X - model.mean[:, None]
             recon = model.matrix @ (model.matrix.T @ centered)
             errors.append(float(np.sum((centered - recon) ** 2)))
@@ -61,7 +76,7 @@ class TestPca:
     def test_mean_subtracted_on_projection(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((4, 10)) + 100.0
-        model = pca_fit(X, 2)
+        model = pca_fit(unlabeled(X), 2)
         projected = project(model, model.mean[:, None])
         np.testing.assert_allclose(projected, 0.0, atol=1e-10)
 
@@ -119,7 +134,7 @@ class TestLda:
                 class_count=3,
             )
             lda = lda_fit(train_set, 2)
-            pca = pca_fit(data.features[:, train], 2)
+            pca = pca_fit(train_set, 2)
             truth = data.labels[~train]
             lda_acc = (
                 knn_oracle(
@@ -154,7 +169,7 @@ class TestApplyModel:
     def test_matches_project_contract(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((5, 12))
-        model = pca_fit(X, 2)
+        model = pca_fit(unlabeled(X), 2)
         projected = project(model, X)
         assert projected.shape == (2, 12)
         centered = X - model.mean[:, None]
@@ -170,3 +185,40 @@ class TestApplyModel:
         model = lda_fit(data, 1)
         with pytest.raises(DataError):
             project(model, np.zeros((5, 2)))
+
+
+@st.composite
+def ordinary_datasets(draw):
+    """Rings or Gaussians at a global scale 10^u, u in [-6, 6], plus an offset.
+
+    Half the draws add a constant feature, and half repeat every sample.
+    """
+    K, per_class, D = draw(st.integers(2, 5)), draw(st.integers(2, 30)), draw(st.integers(3, 30))
+    seed = draw(st.integers(0, 999))
+    if draw(st.booleans()):
+        data = gen_ring_classes(K, per_class, draw(st.floats(0.0, 1.0)), D, seed)
+    else:
+        data = gen_gaussian_classes(K, per_class, D, draw(st.floats(0.1, 2.0)), draw(st.floats(0.5, 5.0)), seed)
+    X = data.features * 10.0 ** draw(st.floats(-6.0, 6.0)) + draw(st.floats(-1e3, 1e3))
+    labels = data.labels
+    if draw(st.booleans()):
+        X = np.vstack([X, np.full((1, X.shape[1]), draw(st.floats(-1e3, 1e3)))])
+    if draw(st.booleans()):
+        X, labels = np.hstack([X, X]), np.concatenate([labels, labels])
+    return LabeledDataset(features=X, labels=labels, class_count=K)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ordinary_datasets())
+def test_projection_fits_at_defaults_succeed_or_say_what_to_change(data):
+    """pca_fit, lda_fit and the SKLP fit at their defaults: a finite orthonormal model, or an error naming the fix."""
+    bound = output_dim("auto", data.class_count, data.dim, data.sample_count)
+    for fit_at_defaults in (pca_fit, lda_fit, lambda dataset: fit(dataset)[0]):
+        try:
+            model = fit_at_defaults(data)
+        except (DataError, NumericalError) as exc:
+            assert re.search(r"\brho\b|rescale the features", str(exc)), exc
+            continue
+        assert np.isfinite(model.matrix).all() and np.isfinite(model.eigenvalues).all()
+        np.testing.assert_allclose(model.matrix.T @ model.matrix, np.eye(model.dim_out), atol=1e-10)
+        assert 1 <= model.dim_out <= bound

@@ -258,7 +258,7 @@ class TestCrossValidate:
             fold_accuracies = []
             for group in np.unique(data.groups):
                 train, test = data.groups != group, data.groups == group
-                model = pca_fit(data.features[:, train], 2)
+                model = pca_fit(LabeledDataset(data.features[:, train], data.labels[train], 3), 2)
                 predicted = knn_oracle(
                     project(model, data.features[:, train]), data.labels[train],
                     project(model, data.features[:, test]), k,

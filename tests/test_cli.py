@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sklpdm import DiffusionConfig, KnnConfig, SklpConfig, SvmConfig, load_csv, load_model, save_csv
+from sklpdm import (DiffusionConfig, KnnConfig, SklpConfig, SvmConfig, lda_fit, load_csv, load_model, pca_fit,
+                    save_csv)
 from sklpdm.cli import _auto_or_float, _build_parser, run
 
 
@@ -226,6 +227,19 @@ class TestSynthAndFit:
         assert "diffusion" not in echo
         assert echo["sklp"] == {"target_dim": 50}
         assert dims == {"pca": 8, "lda": 2}  # capped at the 8 features and at K - 1
+
+    @pytest.mark.parametrize("kind, fit_baseline, dim, delivered", [
+        ("pca", pca_fit, "auto", 2), ("pca", pca_fit, 5, 5), ("pca", pca_fit, 50, 8),
+        ("lda", lda_fit, "auto", 2), ("lda", lda_fit, 1, 1), ("lda", lda_fit, 50, 2),
+    ])
+    def test_library_resolves_dim_as_the_cli_does(self, tmp_path, gaussian_csv, kind, fit_baseline, dim, delivered):
+        # K = 3 classes in 8 features: "auto" is K - 1, and 50 caps at the 8 features (pca) or at K - 1 (lda)
+        out = tmp_path / "m.json"
+        assert invoke("fit", kind, "--data", str(gaussian_csv), "--dim", str(dim), "--out", str(out)) == 0
+        written, fitted = load_model(out), fit_baseline(load_csv(gaussian_csv), dim)
+        assert fitted.dim_out == written.dim_out == delivered
+        np.testing.assert_array_equal(fitted.matrix, written.matrix)
+        np.testing.assert_array_equal(fitted.eigenvalues, written.eigenvalues)
 
     def test_documented_wiring_example(self, tmp_path):
         # synth gaussian with only classes/per-class/dim/seed, then fit sklp

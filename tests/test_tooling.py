@@ -123,6 +123,12 @@ def test_compare_outputs_flags_each_breach():
     assert [deviations(dm, changed)[1] for changed in breaches] == [False] * len(breaches)
     summary, ok = deviations(dict(dm, solve="dense"), dict(dm, solve="iterative, 12 sweeps"))
     assert ok and summary.endswith("(solve dense / iterative, 12 sweeps)")
+    model = {"matrix": [[1.0], [0.0]], "eigenvalues": [2.0]}
+    assert deviations(model, model)[1]
+    assert deviations(model, dict(model, eigenvalues=[2.0 + 1e-11]))[1]
+    breaches = [dict(model, matrix=[[1.0], [1e-9]]), dict(model, eigenvalues=[2.0 + 1e-9]),
+                dict(model, matrix=[[1.0, 0.0], [0.0, 1.0]])]
+    assert [deviations(model, changed)[1] for changed in breaches] == [False] * len(breaches)
 
 
 def run_compare(old, new):
@@ -136,8 +142,9 @@ def test_compare_outputs_accepts_a_tree_against_itself():
     src = Path(sklpdm.__file__).resolve().parents[1]
     code, verdicts, output = run_compare(src, src)
     assert code == 0, output
-    assert "BREACH" not in output and "28/28 cases within the contract" in output
+    assert "BREACH" not in output and "32/32 cases within the contract" in output
     assert len([name for name in verdicts if name.startswith("diffusion")]) == 8
+    assert len([name for name in verdicts if name.startswith("cli fit")]) == 4
     assert re.search(r"^ok +diffusion ring fold n=250: .*\(solve iterative, \d+ sweeps / iterative, \d+ sweeps\)$",
                      output, re.M), output
     assert re.search(r"^ok +diffusion flat spectrum n=300: .*\(solve dense after 30 sweeps / dense after 30 sweeps\)$",
@@ -156,6 +163,6 @@ def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):
         )
     code, verdicts, output = run_compare(src, tmp_path)
     diffusion = [name for name in verdicts if name.startswith("diffusion")]
-    assert len(verdicts) == 28 and len(diffusion) == 8, output
+    assert len(verdicts) == 32 and len(diffusion) == 8, output
     assert [name for name, status in verdicts.items() if status == "BREACH"] == diffusion
     assert code == 1

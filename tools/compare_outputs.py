@@ -4,9 +4,10 @@
 
 OLD_SRC and NEW_SRC are directories that hold an `sklpdm` package (a
 checkout's `src`). The tool runs a fixed set of SKLP fits, diffusion fits
-with their Nystrom extensions, and all 8 cross-validation pipelines
-(4 reductions x KNN/SVM) once per tree, each in its own subprocess with
-only that tree on PYTHONPATH. It prints every case's deviations, and for
+with their Nystrom extensions, `fit pca` and `fit lda` through the tree's
+`sklpdm.cli.run`, and all 8 cross-validation pipelines (4 reductions x
+KNN/SVM) once per tree, each in its own subprocess with only that tree on
+PYTHONPATH. It prints every case's deviations, and for
 a diffusion case how each tree solved it (iterative or dense, and the
 sweeps run). It exits 1 if any case breaches the contract that the README
 states under "Tolerance contract":
@@ -15,6 +16,7 @@ states under "Tolerance contract":
     within 1e-12 (|J| + 1), and the kept directions within 1e-10;
   - diffusion fits: eigenvalues, embedding and extended held-out points
     within 1e-10 entrywise;
+  - `fit pca|lda` models: matrix and eigenvalues within 1e-10 entrywise;
   - cross-validation: equal confusion counts and fold accuracies.
 """
 
@@ -23,6 +25,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -71,6 +74,25 @@ def diffusion_cases(sklpdm):
     return cases
 
 
+def cli_fit_records(cli):
+    """name -> {matrix, eigenvalues} of `fit pca|lda` at --dim auto and at a --dim above the 8 features."""
+    def run(*argv):
+        if cli.run(list(argv)) != 0:
+            raise RuntimeError(f"sklpdm {' '.join(argv)} failed")
+
+    records = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model_path = os.path.join(tmp, "d.csv"), os.path.join(tmp, "model.json")
+        run("synth", "gaussian", "--classes", "3", "--per-class", "30", "--dim", "8", "--seed", "1", "--out", data)
+        for kind in ("pca", "lda"):
+            for dim in ("auto", "50"):
+                run("fit", kind, "--data", data, "--dim", dim, "--out", model_path)
+                with open(model_path, encoding="utf-8") as handle:
+                    model = json.load(handle)
+                records[f"cli fit {kind} --dim {dim}"] = {key: model[key] for key in ("matrix", "eigenvalues")}
+    return records
+
+
 def solve_summary(model):
     """How a diffusion fit solved its pairs; a tree without the solve fields solved densely."""
     sweeps = getattr(model, "sweeps", 0)
@@ -82,7 +104,7 @@ def solve_summary(model):
 def collect():
     """Run every case with the importable sklpdm; returns name -> record."""
     import sklpdm
-    from sklpdm import classify_eval, diffusion_map
+    from sklpdm import classify_eval, cli, diffusion_map
 
     records = {"sklpdm": os.path.dirname(os.path.dirname(os.path.abspath(sklpdm.__file__)))}
     for name, (data, config) in sklp_cases(sklpdm).items():
@@ -101,6 +123,7 @@ def collect():
             "extended": diffusion_map.extend(model, held).tolist(),
             "solve": solve_summary(model),
         }
+    records.update(cli_fit_records(cli))
     data = sklpdm.with_groups(sklpdm.gen_ring_classes(4, 48, 0.5, 30, 7), 4)
     for reduction in classify_eval.PIPELINES:
         for classifier in ("knn", "svm"):
@@ -114,24 +137,31 @@ def collect():
     return records
 
 
+def max_deviation(old, new, keys):
+    """The largest entrywise |new - old| over the named arrays of two records; inf where a shape differs."""
+    pairs = [(np.array(old[key]), np.array(new[key])) for key in keys]
+    return max(np.max(np.abs(b - a)) if a.shape == b.shape else np.inf for a, b in pairs)
+
+
 def deviations(old, new):
     """(summary, within contract) of one case's two records."""
     if "confusion" in old:
         return ("equal", True) if old == new else (f"differ: {old} vs {new}", False)
     if "embedding" in old:
-        pairs = [(np.array(old[key]), np.array(new[key])) for key in ("eigenvalues", "embedding", "extended")]
-        d_max = max(np.max(np.abs(b - a)) if a.shape == b.shape else np.inf for a, b in pairs)
+        d_max = max_deviation(old, new, ("eigenvalues", "embedding", "extended"))
         summary = f"eigenvalues, embedding and extension {d_max:.1e}"
         if "solve" in old:
             summary += f" (solve {old['solve']} / {new['solve']})"
         return summary, bool(d_max <= MODEL_TOL)
+    if "iteration" not in old:  # a `fit pca|lda` model
+        d_max = max_deviation(old, new, ("matrix", "eigenvalues"))
+        return f"matrix and eigenvalues {d_max:.1e}", bool(d_max <= MODEL_TOL)
     summary = f"iterations {old['iteration']}/{new['iteration']} best {old['best_index']}/{new['best_index']}"
     if (old["iteration"], old["best_index"]) != (new["iteration"], new["best_index"]):
         return summary, False
     history = np.array(old["objective_history"])
     d_objective = np.max(np.abs(np.array(new["objective_history"]) - history) / (np.abs(history) + 1.0))
-    old_matrix, new_matrix = np.array(old["matrix"]), np.array(new["matrix"])
-    d_model = np.max(np.abs(new_matrix - old_matrix)) if new_matrix.shape == old_matrix.shape else np.inf
+    d_model = max_deviation(old, new, ("matrix",))
     summary += f" objective {d_objective:.1e} model {d_model:.1e}"
     return summary, bool(d_objective <= OBJECTIVE_TOL and d_model <= MODEL_TOL)
 
