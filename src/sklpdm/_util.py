@@ -3,7 +3,7 @@
 import csv
 import io
 import os
-import tempfile
+import stat
 
 from .errors import DataError
 
@@ -15,8 +15,12 @@ def atomic_write_text(path, text):
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        # the rename keeps the temp file's mode: give it open(path, "w")'s, an existing file's or 0o666 less the umask
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
+            if os.path.isfile(path):
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
             os.replace(tmp, path)

@@ -218,13 +218,13 @@ def _cmd_synth(args):
 
 
 def _parse_frame_manifest(args):
-    """Yield (path, label, group-or-None) rows from either manifest form."""
+    """(path, label, group-or-None) rows from either manifest form: a `path,label[,group]` CSV, or one path per line."""
     try:
         with open(args.manifest, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+            lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {args.manifest}: {exc}") from exc
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    rows = [row for row in csv.reader(lines) if row and any(cell.strip() for cell in row)]
     if not rows:
         raise DataError(f"{args.manifest}: empty manifest")
     header = rows[0]
@@ -248,7 +248,8 @@ def _parse_frame_manifest(args):
         raise DataError(
             f"{args.manifest}: plain path lists need --label (and optionally --group)"
         )
-    return [(row[0].strip(), args.label, args.group) for row in rows]
+    paths = [line.strip() for line in lines]  # one path per line; a comma is part of the path
+    return [(path, args.label, args.group) for path in paths if path]
 
 
 def _cmd_radon(args):

@@ -20,15 +20,8 @@ from ._util import save_float_rows_csv
 
 def _dense_ids(values):
     """Map arbitrary hashable ids to dense ints in first-appearance order."""
-    names = []
-    index = {}
-    ids = np.empty(len(values), dtype=np.int64)
-    for pos, value in enumerate(values):
-        if value not in index:
-            index[value] = len(names)
-            names.append(value)
-        ids[pos] = index[value]
-    return ids, tuple(names)
+    index = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    return np.fromiter((index[value] for value in values), dtype=np.int64, count=len(values)), tuple(index)
 
 
 @dataclass(frozen=True)

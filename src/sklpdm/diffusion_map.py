@@ -49,7 +49,7 @@ class DiffusionModel:
     eigenvectors holds the matching right eigenvectors of T as unit-norm
     columns, n x (embed_dim + 1); column 0 is constant. embedding is
     n x embed_dim (rows are embedded training points). No n x n array is
-    kept.
+    kept, and the four arrays are read-only copies.
 
     The solve: sweeps is the number of subspace-iteration sweeps run (0
     when the block was too wide to iterate), residual the largest
@@ -70,6 +70,10 @@ class DiffusionModel:
     dense_fallback: bool
 
     def __post_init__(self):
+        for name in ("train_points", "eigenvalues", "eigenvectors", "embedding"):
+            array = np.array(getattr(self, name), dtype=np.float64)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if abs(self.eigenvalues[0] - 1.0) > 1e-8:
             raise NumericalError("leading transition eigenvalue must be 1")
         if np.any(np.abs(self.eigenvalues) > 1.0 + 1e-8):
@@ -162,7 +166,7 @@ def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
 
     embedding = phi[:, 1:] * (values[1:] ** config.time)[None, :]
     return DiffusionModel(
-        train_points=X.copy(),
+        train_points=X,
         eigenvalues=values,
         eigenvectors=phi,
         embedding=embedding,

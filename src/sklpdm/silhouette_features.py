@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,10 @@ class SilhouetteImage:
         object.__setattr__(self, "pixels", pixels)
 
 
+# one header token, after any whitespace and '#' comments (a comment runs to the next CR or LF)
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
+
+
 def load_pgm(path) -> SilhouetteImage:
     """Read a PGM file (P2 ASCII or P5 binary, maxval <= 255), binarized at > 0."""
     try:
@@ -56,37 +61,19 @@ def load_pgm(path) -> SilhouetteImage:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
-    pos = 0
-
-    def next_token():
-        nonlocal pos
-        while pos < len(data):
-            byte = data[pos : pos + 1]
-            if byte == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif byte.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-            pos += 1
-        if start == pos:
-            raise DataError(f"{path}: malformed PGM header (truncated at byte {start})")
-        return data[start:pos]
-
-    magic = next_token()
-    if magic not in (b"P2", b"P5"):
-        raise DataError(f"{path}: malformed PGM header: unsupported magic {magic!r}")
-    dims = []
-    for name in ("width", "height", "maxval"):
-        token = next_token()
+    pos, header = 0, []
+    for name in ("magic", "width", "height", "maxval"):
+        match = _PGM_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
+            raise DataError(f"{path}: malformed PGM header (truncated at byte {match.start(1)})")
+        if not header and token not in (b"P2", b"P5"):
+            raise DataError(f"{path}: malformed PGM header: unsupported magic {token!r}")
         try:
-            dims.append(int(token))
+            header.append(int(token) if header else token)
         except ValueError:
             raise DataError(f"{path}: malformed PGM header: non-numeric {name} {token!r}") from None
-    width, height, maxval = dims
+    magic, width, height, maxval = header
     if width < 1 or height < 1:
         raise DataError(f"{path}: malformed PGM header: bad dimensions {width}x{height}")
     if not 1 <= maxval <= 255:

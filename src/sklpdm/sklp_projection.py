@@ -231,11 +231,7 @@ def bandwidth(M, setting, name="bandwidth"):
     n = M.shape[0]
     if n < 2:
         raise DataError("need at least 2 points")
-    upper = np.empty(n * (n - 1) // 2)  # M_ij for i < j, row-major
-    start = 0
-    for i in range(n - 1):
-        upper[start:start + n - 1 - i] = M[i, i + 1:]
-        start += n - 1 - i
+    upper = np.concatenate([M[i, i + 1:] for i in range(n - 1)])  # M_ij for i < j, row-major
     middle = [len(upper) // 2] if len(upper) % 2 else [len(upper) // 2 - 1, len(upper) // 2]
     upper.partition(middle)
     sigma = float(np.mean(np.sqrt(upper[middle])))

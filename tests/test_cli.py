@@ -1,8 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from sklpdm import (DiffusionConfig, KnnConfig, SklpConfig, SvmConfig, lda_fit, load_csv, load_model, pca_fit,
-                    save_csv)
+                    save_csv, sequence_features)
 from sklpdm.cli import _auto_or_float, _build_parser, run
 
 
@@ -274,6 +276,24 @@ class TestDeterminismAndManifest:
         assert invoke(*args, "--out", str(a)) == 0
         assert invoke(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_outputs_get_the_mode_open_gives(self, tmp_path):
+        reference, out = tmp_path / "by-open.txt", tmp_path / "d.csv"
+        umask = os.umask(0o022)  # a umask that leaves group and others some bits
+        try:
+            with open(reference, "w", encoding="utf-8") as handle:
+                handle.write("x\n")
+            assert invoke("synth", "rings", "--out", str(out)) == 0
+        finally:
+            os.umask(umask)
+        for path in (out, tmp_path / "d.csv.manifest.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode), path
+        for path in (reference, out):  # rewriting a file keeps its mode
+            path.chmod(0o640)
+        with open(reference, "w", encoding="utf-8") as handle:
+            handle.write("y\n")
+        assert invoke("synth", "rings", "--seed", "2", "--out", str(out)) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode) == 0o640
 
     def test_manifest_written_and_replayable(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -618,6 +638,18 @@ class TestRadonCommand:
         assert data.sample_count == 2
         assert data.label_names == ("jump",)
         assert data.group_names == ("p1",)
+
+    def test_plain_path_list_keeps_commas_in_paths(self, tmp_path):
+        pixels = np.zeros((6, 6), dtype=np.uint8)
+        pixels[1:4, 2:5] = 1
+        frame = tmp_path / "a,b.pgm"
+        frame.write_bytes(b"P5 6 6 1\n" + pixels.tobytes())
+        manifest = tmp_path / "list.txt"
+        manifest.write_text(f" {frame.name} \n\n{frame}\n")
+        out = tmp_path / "features.csv"
+        assert invoke("radon", "--manifest", str(manifest), "--angles", "8", "--label", "x", "--out", str(out)) == 0
+        expected = sequence_features([frame, frame], 8)
+        np.testing.assert_array_equal(load_csv(out).features, expected)
 
     @pytest.mark.parametrize("flag", ["--label", "--group"])
     def test_headed_manifest_with_label_or_group_exits_2(self, tmp_path, capsys, flag):

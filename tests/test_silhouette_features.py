@@ -90,6 +90,32 @@ class TestLoadPgm:
             load_pgm(path)
 
 
+    @pytest.mark.parametrize("data, pixels", [
+        (b"P2#c\n2 1\n255\n7 0\n", [[1, 0]]),  # a comment right after the magic
+        (b"P2\n# a # b 9 9\n2 1\n255\n0 3\n", [[0, 1]]),  # '#' inside a comment
+        (b"P2\r# c\r2 1\r255\r5 0\r", [[1, 0]]),  # CR-only line ends
+        (b"P5\x0b2\x0c1\x0b255\x0c\x00\x09", [[0, 1]]),  # VT and FF separate, FF ends the header
+        (b"P2 2#width\n1 # height\n255 1 0", [[1, 0]]),  # comments between tokens
+    ])
+    def test_header_lexing(self, tmp_path, data, pixels):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        np.testing.assert_array_equal(load_pgm(path).pixels, pixels)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P2 x 1", "malformed PGM header: non-numeric width b'x'"),  # reported ahead of the truncation
+        (b"P2 2#c", "malformed PGM header (truncated at byte 6)"),
+        (b"# only\r\n", "malformed PGM header (truncated at byte 8)"),
+        (b"P2#c\n1 1 +255 x", "malformed P2 payload: non-numeric pixel value"),
+    ])
+    def test_header_errors(self, tmp_path, data, message):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as excinfo:
+            load_pgm(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+
 class TestRadon:
     def test_single_centered_pixel(self):
         pixels = np.zeros((7, 9), dtype=np.uint8)

@@ -129,6 +129,13 @@ def test_compare_outputs_flags_each_breach():
     breaches = [dict(model, matrix=[[1.0], [1e-9]]), dict(model, eigenvalues=[2.0 + 1e-9]),
                 dict(model, matrix=[[1.0, 0.0], [0.0, 1.0]])]
     assert [deviations(model, changed)[1] for changed in breaches] == [False] * len(breaches)
+    read = {"exact": {"features": [[0.5, -0.0]], "label names": ["walk, fast"]}}
+    assert deviations(read, read) == ("bit-identical", True)
+    breaches = [{"exact": {"features": [[0.5, 0.0]], "label names": ["walk, fast"]}},
+                {"exact": {"features": [[0.5, -0.0]], "label names": ["walk"]}},
+                {"exact": {"features": [[0.5, -0.0]]}}]
+    assert [deviations(read, changed) for changed in breaches] == [
+        ("differ in features", False), ("differ in label names", False), ("differ in label names", False)]
 
 
 def run_compare(old, new):
@@ -142,9 +149,10 @@ def test_compare_outputs_accepts_a_tree_against_itself():
     src = Path(sklpdm.__file__).resolve().parents[1]
     code, verdicts, output = run_compare(src, src)
     assert code == 0, output
-    assert "BREACH" not in output and "32/32 cases within the contract" in output
+    assert "BREACH" not in output and "34/34 cases within the contract" in output
     assert len([name for name in verdicts if name.startswith("diffusion")]) == 8
     assert len([name for name in verdicts if name.startswith("cli fit")]) == 4
+    assert re.findall(r"^ok +(read .+): bit-identical$", output, re.M) == ["read load_csv", "read sequence_features"]
     assert re.search(r"^ok +diffusion ring fold n=250: .*\(solve iterative, \d+ sweeps / iterative, \d+ sweeps\)$",
                      output, re.M), output
     assert re.search(r"^ok +diffusion flat spectrum n=300: .*\(solve dense after 30 sweeps / dense after 30 sweeps\)$",
@@ -163,6 +171,6 @@ def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):
         )
     code, verdicts, output = run_compare(src, tmp_path)
     diffusion = [name for name in verdicts if name.startswith("diffusion")]
-    assert len(verdicts) == 32 and len(diffusion) == 8, output
+    assert len(verdicts) == 34 and len(diffusion) == 8, output
     assert [name for name, status in verdicts.items() if status == "BREACH"] == diffusion
     assert code == 1

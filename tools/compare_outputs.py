@@ -5,8 +5,10 @@
 OLD_SRC and NEW_SRC are directories that hold an `sklpdm` package (a
 checkout's `src`). The tool runs a fixed set of SKLP fits, diffusion fits
 with their Nystrom extensions, `fit pca` and `fit lda` through the tree's
-`sklpdm.cli.run`, and all 8 cross-validation pipelines (4 reductions x
-KNN/SVM) once per tree, each in its own subprocess with only that tree on
+`sklpdm.cli.run`, two read paths (`load_csv` on a plain and on a
+quoted-label file, `sequence_features` on P2 and P5 frames with header
+comments) and all 8 cross-validation pipelines (4 reductions x KNN/SVM)
+once per tree, each in its own subprocess with only that tree on
 PYTHONPATH. It prints every case's deviations, and for
 a diffusion case how each tree solved it (iterative or dense, and the
 sweeps run). It exits 1 if any case breaches the contract that the README
@@ -17,6 +19,7 @@ states under "Tolerance contract":
   - diffusion fits: eigenvalues, embedding and extended held-out points
     within 1e-10 entrywise;
   - `fit pca|lda` models: matrix and eigenvalues within 1e-10 entrywise;
+  - read paths: every value bit for bit;
   - cross-validation: equal confusion counts and fold accuracies.
 """
 
@@ -93,6 +96,56 @@ def cli_fit_records(cli):
     return records
 
 
+PLAIN_CSV = """label,f0,f1,group
+run,1.5,-2,a1
+walk,0.1,3e-5,a2
+run,-0.0,7,a1
+jump,1e300,0.30000000000000004,a3
+walk,2.5e-308,-1.25,a2
+"""
+QUOTED_CSV = '''group,f0,label,f1
+g2,1,"walk, fast",0.5
+g1,2,"say ""hi""",-0.5
+g2,3,run,1e-3
+g1,4,"walk, fast",-1e3
+'''
+
+
+def pgm_frames(tmp):
+    """Paths of P2 and P5 silhouette frames (ellipses at several offsets) whose headers carry comments."""
+    rows, cols = np.mgrid[:24, :16]
+    paths = []
+    for f, (dy, dx, ry, rx) in enumerate(((0, 0, 8, 4), (3, -2, 6, 5), (-4, 3, 9, 3), (1, 1, 4, 6))):
+        pixels = ((rows - 12 - dy) / ry) ** 2 + ((cols - 8 - dx) / rx) ** 2 <= 1.0
+        if f % 2:
+            data = b"P5\n# frame %d\n16 24 # width height\n255\n" % f + (pixels * 255).astype(np.uint8).tobytes()
+        else:
+            raster = "\r".join(" ".join(str(v) for v in row) for row in pixels.astype(int))
+            data = b"P2#frame %d\r16\t24\r#maxval # next\r1\r" % f + raster.encode()
+        paths.append(os.path.join(tmp, f"frame{f}.pgm"))
+        with open(paths[-1], "wb") as handle:
+            handle.write(data)
+    return paths
+
+
+def read_records(sklpdm):
+    """name -> {"exact": values} of the read paths, each value to be reproduced bit for bit."""
+    exact = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, text in (("plain", PLAIN_CSV), ("quoted", QUOTED_CSV)):
+            path = os.path.join(tmp, f"{kind}.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            data = sklpdm.load_csv(path)
+            exact[f"{kind} features"] = data.features.tolist()
+            exact[f"{kind} label ids"] = data.labels.tolist()
+            exact[f"{kind} label names"] = list(data.label_names)
+            exact[f"{kind} group ids"] = data.groups.tolist()
+        features = sklpdm.silhouette_features.sequence_features(pgm_frames(tmp), 36)
+    return {"read load_csv": {"exact": exact},
+            "read sequence_features": {"exact": {"features": features.tolist()}}}
+
+
 def solve_summary(model):
     """How a diffusion fit solved its pairs; a tree without the solve fields solved densely."""
     sweeps = getattr(model, "sweeps", 0)
@@ -124,6 +177,7 @@ def collect():
             "solve": solve_summary(model),
         }
     records.update(cli_fit_records(cli))
+    records.update(read_records(sklpdm))
     data = sklpdm.with_groups(sklpdm.gen_ring_classes(4, 48, 0.5, 30, 7), 4)
     for reduction in classify_eval.PIPELINES:
         for classifier in ("knn", "svm"):
@@ -145,6 +199,9 @@ def max_deviation(old, new, keys):
 
 def deviations(old, new):
     """(summary, within contract) of one case's two records."""
+    if "exact" in old:
+        differ = [key for key, value in old["exact"].items() if json.dumps(value) != json.dumps(new["exact"].get(key))]
+        return (f"differ in {', '.join(differ)}", False) if differ else ("bit-identical", True)
     if "confusion" in old:
         return ("equal", True) if old == new else (f"differ: {old} vs {new}", False)
     if "embedding" in old:
