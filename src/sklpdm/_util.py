@@ -1,4 +1,4 @@
-"""Small shared helpers (atomic file writes, float formatting, float-row CSV, positive integer checks)."""
+"""Small shared helpers (atomic file writes, the numeric-row CSV writer, positive integer checks)."""
 
 import csv
 import io
@@ -34,17 +34,13 @@ def atomic_write_text(path, text):
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def format_float(value):
-    """Shortest decimal string that round-trips the float64 exactly."""
-    return repr(float(value))
-
-
 def save_float_rows_csv(path, header, rows, lead=None, tail=None):
-    """Atomically write a CSV file: `header`, then one line per row of the float matrix `rows`.
+    """Atomically write a CSV file: `header`, then one line per row of the numeric matrix `rows`.
 
-    Floats are written as their shortest round-trip repr (`format_float`).
-    `lead` and `tail` are optional per-row text fields written before and
-    after the floats, quoted as `csv.writer` quotes them.
+    Each number is written as its repr: an int as itself, a float as the
+    shortest decimal that round-trips it. `lead` and `tail` are optional
+    per-row fields (strings or ints) written before and after the numbers,
+    quoted as `csv.writer` quotes them. Lines end in `\n`.
     """
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(header)

@@ -69,13 +69,19 @@ def lda_fit(dataset: LabeledDataset, target_dim="auto") -> ProjectionModel:
         # absolute ridge so the pencil stays definite
         gamma = 1e-6 * max(float(np.trace(S_b)) / D, 1.0)
     G = S_w + gamma * np.eye(D)
+    if not (np.isfinite(G).all() and np.isfinite(S_b).all()):
+        raise NumericalError("the class scatter is not finite: rescale the features to a smaller magnitude")
     g_values, g_vectors = np.linalg.eigh(G)
     if np.any(g_values <= 0):
         raise NumericalError("within-class scatter singular even after regularization")
     whiten = g_vectors @ np.diag(1.0 / np.sqrt(g_values)) @ g_vectors.T
     discriminant = whiten @ S_b @ whiten
     discriminant = (discriminant + discriminant.T) / 2.0
-    values, vectors = solve_eig(discriminant, d)
+    try:
+        values, vectors = solve_eig(discriminant, d)
+    except NumericalError:
+        raise NumericalError("no direction separates the class means: they coincide, or the features are too "
+                             "small (rescale the features to a larger magnitude)") from None
     return ProjectionModel(
         matrix=vectors,
         kind="lda",

@@ -99,14 +99,29 @@ def _majority(labels):
     return Counter(labels).most_common(1)[0][0]
 
 
+def _samples(values, name):
+    """`values` as a float matrix with one sample per column; DataError unless it is 2-D."""
+    matrix = np.asarray(values, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise DataError(f"{name} must be a 2-D matrix (columns are samples), got shape {matrix.shape}")
+    return matrix
+
+
+def _training_set(train):
+    """(X, y) of a (features, labels) pair: a D x n float matrix and n integer labels, else DataError."""
+    X = _samples(train[0], "training features")
+    y = np.asarray(train[1], dtype=np.int64)
+    if y.shape != (X.shape[1],):
+        raise DataError(f"{y.size} training labels for {X.shape[1]} training columns")
+    return X, y
+
+
 def knn_predict(train, test, config: KnnConfig | None = None):
     """Majority label among the k nearest training columns (squared Euclidean), per test column."""
     if config is None:
         config = KnnConfig()
-    train_X, train_y = train
-    train_X = np.asarray(train_X, dtype=np.float64)
-    train_y = np.asarray(train_y, dtype=np.int64)
-    test_X = np.asarray(test, dtype=np.float64)
+    train_X, train_y = _training_set(train)
+    test_X = _samples(test, "test features")
     n_train = train_X.shape[1]
     if n_train == 0:
         raise DataError("empty training set")
@@ -172,12 +187,12 @@ def svm_fit(train, config: SvmConfig | None = None) -> SvmModel:
     """
     if config is None:
         config = SvmConfig()
-    X, y = train
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    K = int(y.max()) + 1
+    X, y = _training_set(train)
     if len(np.unique(y)) < 2:
         raise DataError("svm_fit needs at least 2 classes")
+    if y.min() < 0:
+        raise DataError("svm_fit needs labels >= 0")
+    K = int(y.max()) + 1
     weights = np.zeros((K, X.shape[0]))
     biases = np.zeros(K)
     histories = []
@@ -192,7 +207,7 @@ def svm_fit(train, config: SvmConfig | None = None) -> SvmModel:
 
 def svm_predict(model: SvmModel, test):
     """Argmax of per-class scores; ties resolve to the lowest class id."""
-    test_X = np.asarray(test, dtype=np.float64)
+    test_X = _samples(test, "test features")
     if test_X.shape[0] != model.weights.shape[1]:
         raise DataError("test dimensionality does not match the fitted model")
     scores = model.weights @ test_X + model.biases[:, None]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -35,7 +34,7 @@ from .dataset import (
     with_groups,
 )
 from .errors import DataError, NumericalError
-from ._util import atomic_write_text, format_float
+from ._util import atomic_write_text, save_float_rows_csv
 
 
 class UsageError(Exception):
@@ -175,7 +174,7 @@ def _build_parser():
     return parser
 
 
-def _write_manifest(primary_output, args, inputs, outputs, started):
+def _write_manifest(args, inputs, outputs, started):
     manifest = {
         "command": args.command,
         "flags": {
@@ -188,7 +187,7 @@ def _write_manifest(primary_output, args, inputs, outputs, started):
         "version": __version__,
         "duration_s": time.monotonic() - started,
     }
-    atomic_write_text(str(primary_output) + ".manifest.json", json.dumps(manifest, indent=1) + "\n")
+    atomic_write_text(outputs[0] + ".manifest.json", json.dumps(manifest, indent=1) + "\n")
 
 
 def _sklp_config_from(args):
@@ -214,7 +213,7 @@ def _cmd_synth(args):
     if args.groups > 0:
         data = with_groups(data, args.groups)
     save_csv(data, args.out)
-    return args.out, [], [args.out]
+    return [], [args.out]
 
 
 def _parse_frame_manifest(args):
@@ -262,7 +261,7 @@ def _cmd_radon(args):
     if all(group is None for group in groups):
         groups = None
     save_csv(from_names(features, labels, groups), args.out)
-    return args.out, [args.manifest], [args.out]
+    return [args.manifest], [args.out]
 
 
 def _cmd_fit(args):
@@ -272,7 +271,7 @@ def _cmd_fit(args):
     else:
         model = baselines.pca_fit(data, args.dim) if args.kind == "pca" else baselines.lda_fit(data, args.dim)
     sklp_projection.save_model(model, args.out)
-    return args.out, [args.data], [args.out]
+    return [args.data], [args.out]
 
 
 def _cmd_project(args):
@@ -280,7 +279,7 @@ def _cmd_project(args):
     data = load_csv(args.data)
     projected = sklp_projection.project(model, data.features)
     save_csv(dataclasses.replace(data, features=projected), args.out)
-    return args.out, [args.model, args.data], [args.out]
+    return [args.model, args.data], [args.out]
 
 
 def _cmd_diffuse(args):
@@ -291,7 +290,7 @@ def _cmd_diffuse(args):
     diffusion_map.save_embedding_csv(args.out, model.embedding, labels)
     model_path = args.out + ".model.json"
     diffusion_map.save_model_json(model, model_path)
-    return args.out, [args.data], [args.out, model_path]
+    return [args.data], [args.out, model_path]
 
 
 def _format_confusion(matrix):
@@ -301,15 +300,6 @@ def _format_confusion(matrix):
     for k, name in enumerate(names):
         lines.append(f"{name:>{width}}" + "".join(f"{c:>{width}}" for c in matrix.counts[k]))
     return "\n".join(lines)
-
-
-def _confusion_csv_text(matrix):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["true\\predicted"] + list(matrix.class_names))
-    for k, name in enumerate(matrix.class_names):
-        writer.writerow([name] + [int(c) for c in matrix.counts[k]])
-    return buffer.getvalue()
 
 
 def _report_text(title, matrix, fold_accuracies, config_echo, extra_lines=()):
@@ -362,7 +352,7 @@ def _cmd_classify(args):
     echo = {"method": args.method, **dataclasses.asdict(config)}
     text = _report_text(f"classification report ({args.method})", matrix, (), echo, extra)
     atomic_write_text(args.report, text)
-    return args.report, [args.train, args.test], [args.report]
+    return [args.train, args.test], [args.report]
 
 
 def _cmd_evaluate(args):
@@ -392,26 +382,22 @@ def _cmd_evaluate(args):
         result.pipeline,
     )
     atomic_write_text(args.report, text)
-    atomic_write_text(args.confusion, _confusion_csv_text(result.confusion))
-    return args.report, [args.data], [args.report, args.confusion]
+    names = result.confusion.class_names
+    save_float_rows_csv(args.confusion, ["true\\predicted", *names], result.confusion.counts, lead=names)
+    return [args.data], [args.report, args.confusion]
 
 
 def _cmd_trace(args):
     data = load_csv(args.data)
     _, state = sklp_projection.fit(data, _sklp_config_from(args))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["iteration", "objective", "predicted_increment"])
-    writer.writerow([0, format_float(state.objective_history[0]), ""])
-    for t, (value, increment) in enumerate(
-        zip(state.objective_history[1:], state.predicted_increments), start=1
-    ):
-        writer.writerow([t, format_float(value), format_float(increment)])
-    atomic_write_text(args.out, buffer.getvalue())
-    return args.out, [args.data], [args.out]
+    history = np.array(state.objective_history)[:, None]
+    increments = ["", *map(repr, state.predicted_increments)]  # iteration 0 predicts nothing
+    save_float_rows_csv(args.out, ["iteration", "objective", "predicted_increment"], history,
+                        lead=range(len(history)), tail=increments)
+    return [args.data], [args.out]
 
 
-# each command returns (primary output, input paths, output paths); run() writes the manifest
+# each command returns (input paths, output paths); run() writes the manifest next to the first output
 _COMMANDS = {
     "synth": _cmd_synth,
     "radon": _cmd_radon,
@@ -434,8 +420,8 @@ def run(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        primary, inputs, outputs = _COMMANDS[args.command](args)
-        _write_manifest(primary, args, inputs, outputs, started)
+        inputs, outputs = _COMMANDS[args.command](args)
+        _write_manifest(args, inputs, outputs, started)
         return 0
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

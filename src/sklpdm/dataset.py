@@ -75,8 +75,14 @@ class LabeledDataset:
             groups = np.array(groups, dtype=np.int64)
             if groups.shape != (features.shape[1],):
                 raise DataError("group count does not match sample count")
+            if groups.min() < 0:
+                raise DataError("group ids must be >= 0")
             if group_names is None:
                 group_names = tuple(f"g{g}" for g in range(int(groups.max()) + 1))
+            elif groups.max() >= len(group_names):
+                raise DataError(f"group ids must lie in [0, {len(group_names)}), one per group name")
+        elif group_names is not None:
+            raise DataError("group_names given without groups")
         features.flags.writeable = False
         labels.flags.writeable = False
         if groups is not None:

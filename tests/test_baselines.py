@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 from sklpdm import (
     DataError,
+    DiffusionConfig,
     LabeledDataset,
     NumericalError,
+    diffusion_map,
     fit,
     gen_gaussian_classes,
     gen_ring_classes,
+    knn_predict,
     lda_fit,
     pca_fit,
     project,
+    svm_fit,
+    svm_predict,
 )
 from sklpdm.sklp_projection import output_dim
 
@@ -102,7 +107,7 @@ class TestLda:
             members = np.arange(40) % 2 == k
             X[:, members] -= X[:, members].mean(axis=1, keepdims=True)
         data = LabeledDataset(features=X, labels=np.arange(40) % 2, class_count=2)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="no direction separates the class means: they coincide"):
             lda_fit(data, 1)
 
     def test_d_capped_at_k_minus_one(self):
@@ -222,3 +227,31 @@ def test_projection_fits_at_defaults_succeed_or_say_what_to_change(data):
         assert np.isfinite(model.matrix).all() and np.isfinite(model.eigenvalues).all()
         np.testing.assert_allclose(model.matrix.T @ model.matrix, np.eye(model.dim_out), atol=1e-10)
         assert 1 <= model.dim_out <= bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(ordinary_datasets())
+def test_classifiers_and_diffusion_at_defaults_return_finite_outputs_or_raise(data):
+    """knn_predict, svm_fit/svm_predict and diffusion fit/extend at their defaults, trained on 3 of every 4
+    samples and applied to the rest: finite outputs and labels in [0, K), or a DataError/NumericalError."""
+    held = np.arange(data.sample_count) % 4 == 3
+    train, labels, test = data.features[:, ~held], data.labels[~held], data.features[:, held]
+    def svm_at_defaults():
+        model = svm_fit((train, labels))
+        assert np.isfinite(model.weights).all() and np.isfinite(model.biases).all()
+        return svm_predict(model, test)
+
+    for classify in (lambda: knn_predict((train, labels), test), svm_at_defaults):
+        try:
+            predicted = classify()
+        except (DataError, NumericalError):
+            continue
+        assert predicted.shape == (test.shape[1],)
+        assert 0 <= predicted.min() and predicted.max() < data.class_count
+    try:
+        model = diffusion_map.fit(train, DiffusionConfig())
+        extended = diffusion_map.extend(model, test)
+    except (DataError, NumericalError):
+        return
+    assert np.isfinite(model.embedding).all() and np.isfinite(extended).all()
+    assert extended.shape == (test.shape[1], model.embedding.shape[1])

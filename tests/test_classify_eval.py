@@ -139,6 +139,25 @@ class TestSvm:
         assert predicted.tolist() == [0, 0]
 
 
+SIX_COLUMNS = np.arange(12.0).reshape(2, 6)
+SIX_LABELS = np.array([0, 0, 1, 1, 2, 2])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: svm_fit((SIX_COLUMNS, SIX_LABELS[:5])), "5 training labels for 6 training columns"),
+    (lambda: svm_fit((SIX_COLUMNS, SIX_LABELS - 1)), "svm_fit needs labels >= 0"),
+    (lambda: svm_predict(svm_fit((SIX_COLUMNS, SIX_LABELS)), SIX_COLUMNS[:, 0]),
+     r"test features must be a 2-D matrix \(columns are samples\), got shape \(2,\)"),
+    (lambda: knn_predict((SIX_COLUMNS, SIX_LABELS[:4]), SIX_COLUMNS), "4 training labels for 6 training columns"),
+    (lambda: knn_predict((SIX_COLUMNS, SIX_LABELS), SIX_COLUMNS[:, 0]),
+     r"test features must be a 2-D matrix \(columns are samples\), got shape \(2,\)"),
+    (lambda: knn_predict((SIX_COLUMNS[0], SIX_LABELS), SIX_COLUMNS), r"training features must be a 2-D matrix"),
+], ids=["svm-short-labels", "svm-negative-label", "svm-1d-test", "knn-short-labels", "knn-1d-test", "knn-1d-train"])
+def test_mismatched_classifier_inputs_rejected(call, message):
+    with pytest.raises(DataError, match=message):
+        call()
+
+
 class TestVoting:
     def test_majority(self):
         assert video_majority_vote(["a", "a", "b"], [0, 0, 0]) == {0: "a"}

@@ -183,12 +183,15 @@ class TestSynthAndFit:
         assert not (tmp_path / "out.manifest.json").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale, command, message", [
         (1e155, ["diffuse"], "median distance inf has sigma^2 outside [2.2e-308, inf): rescale the features"),
         (1e155, ["fit", "sklp"], "covariance is not finite: rescale the features to a smaller magnitude"),
         (1e155, ["fit", "pca"], "covariance is not finite: rescale the features to a smaller magnitude"),
         (1e-160, ["fit", "sklp"], "the samples differ, but their covariance is below the solver's floor"),
         (1e-160, ["diffuse"], "has sigma^2 outside [2.2e-308, inf): rescale the features"),
+        (1e155, ["fit", "lda"], "class scatter is not finite: rescale the features to a smaller magnitude"),
+        (1e-160, ["fit", "lda"], "the features are too small (rescale the features to a larger magnitude)"),
     ])
     def test_feature_scale_failure_exits_3(self, tmp_path, capsys, gaussian_csv, scale, command, message):
         data = load_csv(gaussian_csv)
@@ -198,6 +201,37 @@ class TestSynthAndFit:
         assert invoke(*command, "--data", str(scaled), "--out", str(out)) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and message in err and "rescale the features" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("files, argv, code, message", [
+        ({"m.txt": ""}, ["radon", "--manifest", "{tmp}/m.txt"], 2, "{tmp}/m.txt: empty manifest"),
+        ({"m.txt": "path,label\n\n"}, ["radon", "--manifest", "{tmp}/m.txt"], 2, "{tmp}/m.txt: no frames listed"),
+        ({"m.txt": "path,label\nf.pgm,walk\nf.pgm,walk,p0\n"}, ["radon", "--manifest", "{tmp}/m.txt"], 2,
+         "{tmp}/m.txt: row 2: expected 2 fields"),
+        ({"t.csv": "label,f0,f1\na,1,2\n"}, ["classify", "knn", "--train", "{data}", "--test", "{tmp}/t.csv"], 2,
+         "train and test feature dimensions differ"),
+        ({"t.csv": "label," + ",".join(f"f{j}" for j in range(8)) + "\nzz" + ",1" * 8 + "\n"},
+         ["classify", "svm", "--train", "{data}", "--test", "{tmp}/t.csv"], 2,
+         "test label 'zz' never appears in the training data"),
+        ({}, ["classify", "knn", "--train", "{data}", "--test", "{data}", "--vote-by-group"], 2,
+         "--vote-by-group requires a `group` column in the test data"),
+        ({"h.csv": "label,f0,f1\n"}, ["fit", "pca", "--data", "{tmp}/h.csv"], 2, "{tmp}/h.csv: no data rows"),
+        ({"m.json": "{kind: pca}"}, ["project", "--model", "{tmp}/m.json", "--data", "{data}"], 2,
+         "{tmp}/m.json: malformed model file: Expecting property name enclosed in double quotes"),
+        ({"m.json": json.dumps({"kind": "pca", "dim_in": 8, "dim_out": 1, "eigenvalues": [1.0],
+                                "matrix": [[2.0]] + [[0.0]] * 7})},
+         ["project", "--model", "{tmp}/m.json", "--data", "{data}"], 3,
+         "{tmp}/m.json: projection columns are not orthonormal"),
+    ])
+    def test_bad_input_exits_with_its_message(self, tmp_path, capsys, gaussian_csv, files, argv, code, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "out"
+        argv = [arg.format(tmp=tmp_path, data=gaussian_csv) for arg in argv]
+        argv += ["--report" if argv[0] == "classify" else "--out", str(out)]
+        assert invoke(*argv) == code
+        prefix = {2: "data error: ", 3: "numerical failure: "}[code]
+        assert capsys.readouterr().err.startswith(prefix + message.format(tmp=tmp_path))
         assert not out.exists()
 
     def test_fit_pca_and_lda(self, tmp_path, gaussian_csv):

@@ -277,6 +277,16 @@ class TestSaveCsv:
         np.testing.assert_array_equal(again.features, features)
         assert again.label_names == names and again.group_names == group_names
 
+    @pytest.mark.parametrize("groups, group_names, message", [
+        ([-1, 0, 0], None, r"group ids must be >= 0"),
+        ([0, 1, 2], ("a", "b"), r"group ids must lie in \[0, 2\), one per group name"),
+        (None, ("a",), r"group_names given without groups"),
+    ])
+    def test_group_ids_must_name_their_groups(self, groups, group_names, message):
+        """Ids that save_csv could not write back as distinct names are rejected up front."""
+        with pytest.raises(DataError, match=message):
+            LabeledDataset(np.ones((1, 3)), [0, 1, 1], 2, groups=groups, group_names=group_names)
+
     def test_unwritable_path(self, tmp_path):
         data = LabeledDataset(features=np.ones((1, 1)), labels=[0], class_count=1)
         with pytest.raises(DataError):

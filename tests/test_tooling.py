@@ -136,6 +136,11 @@ def test_compare_outputs_flags_each_breach():
                 {"exact": {"features": [[0.5, -0.0]]}}]
     assert [deviations(read, changed) for changed in breaches] == [
         ("differ in features", False), ("differ in label names", False), ("differ in label names", False)]
+    assert deviations(None, cv) == ("old tree has no such case", False)
+    assert deviations(cv, None) == ("new tree has no such case", False)
+    assert deviations(cv, {"error": "DataError('bad frame')"}) == ("new tree raised DataError('bad frame')", False)
+    assert deviations({"error": "KeyError('x')"}, None) == (
+        "old tree raised KeyError('x'); new tree has no such case", False)
 
 
 def run_compare(old, new):
@@ -174,3 +179,21 @@ def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):
     assert len(verdicts) == 34 and len(diffusion) == 8, output
     assert [name for name, status in verdicts.items() if status == "BREACH"] == diffusion
     assert code == 1
+
+
+def test_compare_outputs_reports_each_case_when_one_raises(tmp_path):
+    """A copy whose sequence_features raises and which drops the dm arm: those cases breach, every other reports."""
+    src = Path(sklpdm.__file__).resolve().parents[1]
+    shutil.copytree(src / "sklpdm", tmp_path / "sklpdm", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "sklpdm" / "silhouette_features.py", "a", encoding="utf-8") as handle:
+        handle.write("\n\ndef sequence_features(paths, angles):\n    raise DataError('no frames today')\n")
+    with open(tmp_path / "sklpdm" / "classify_eval.py", "a", encoding="utf-8") as handle:
+        handle.write('\nPIPELINES = ("pca", "lda", "sklp+dm")\n')
+    code, verdicts, output = run_compare(src, tmp_path)
+    assert code == 1 and len(verdicts) == 34, output
+    assert [name for name, status in verdicts.items() if status == "BREACH"] == [
+        "read sequence_features", "cv dm knn", "cv dm svm"], output
+    assert re.search(r"^BREACH read sequence_features: new tree raised DataError\('no frames today'\)$", output, re.M)
+    assert re.search(r"^BREACH cv dm knn: new tree has no such case$", output, re.M)
+    assert "31/34 cases within the contract" in output
+

@@ -8,11 +8,13 @@ with their Nystrom extensions, `fit pca` and `fit lda` through the tree's
 `sklpdm.cli.run`, two read paths (`load_csv` on a plain and on a
 quoted-label file, `sequence_features` on P2 and P5 frames with header
 comments) and all 8 cross-validation pipelines (4 reductions x KNN/SVM)
-once per tree, each in its own subprocess with only that tree on
-PYTHONPATH. It prints every case's deviations, and for
-a diffusion case how each tree solved it (iterative or dense, and the
-sweeps run). It exits 1 if any case breaches the contract that the README
-states under "Tolerance contract":
+in one subprocess per tree with only that tree on PYTHONPATH. Each case
+runs on its own, so a case that raises is reported as a breach naming its
+exception while the others still report, and so is a case that only one
+tree has. It prints every case's deviations, and for a diffusion case how
+each tree solved it (iterative or dense, and the sweeps run). It exits 1
+if any case breaches the contract that the README states under
+"Tolerance contract":
 
   - SKLP fits: the same iteration count and best iterate, every objective
     within 1e-12 (|J| + 1), and the kept directions within 1e-10;
@@ -24,6 +26,7 @@ states under "Tolerance contract":
 """
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -37,63 +40,69 @@ MODEL_TOL = 1e-10
 
 
 def sklp_cases(sklpdm):
-    """name -> (dataset, SklpConfig) of the compared fits."""
+    """name -> function returning the (dataset, SklpConfig) of a compared fit."""
     cases = {}
     for seed in range(3):
-        data = sklpdm.gen_ring_classes(4, 60, 0.4, 60, seed)
         for rho, eta in ((0.6, 0.1), (0.5, 1.0), (0.7, 0.37)):
-            cases[f"fit rings s{seed} rho={rho} eta={eta}"] = (
-                data, sklpdm.SklpConfig(rho=rho, learning_rate=eta))
-    cases["fit gaussian 5x200 D=180"] = (
+            cases[f"fit rings s{seed} rho={rho} eta={eta}"] = lambda seed=seed, rho=rho, eta=eta: (
+                sklpdm.gen_ring_classes(4, 60, 0.4, 60, seed), sklpdm.SklpConfig(rho=rho, learning_rate=eta))
+    cases["fit gaussian 5x200 D=180"] = lambda: (
         sklpdm.gen_gaussian_classes(5, 200, 180, 1.0, 4.0, 0), sklpdm.SklpConfig(rho=0.6, max_iters=20))
-    cases["fit gaussian 3x100 D=20"] = (
+    cases["fit gaussian 3x100 D=20"] = lambda: (
         sklpdm.gen_gaussian_classes(3, 100, 20, 1.0, 4.0, 1), sklpdm.SklpConfig(rho=0.5))
-    cases["fit three points"] = (
+    cases["fit three points"] = lambda: (
         sklpdm.LabeledDataset([[0.0, 1.0, 3.0], [0.5, -1.0, 2.0]], [0, 0, 1], 2), sklpdm.SklpConfig(rho=0.5))
     return cases
 
 
 def diffusion_cases(sklpdm):
-    """name -> (training columns, held-out columns, DiffusionConfig) of the compared diffusion fits."""
-    cases = {}
-    for n in (30, 120, 300):
+    """name -> function returning the (training columns, held-out columns, DiffusionConfig) of a compared fit."""
+    def gaussians(n, sigma):
         X = sklpdm.gen_gaussian_classes(3, n // 2, 5, 1.0, 4.0, n).features
         held = np.arange(X.shape[1]) % 3 == 0
-        for sigma in (3.0, "auto"):
-            cases[f"diffusion n={n} sigma={sigma}"] = (
-                X[:, ~held], X[:, held], sklpdm.DiffusionConfig(bandwidth=sigma, embed_dim=3, time=2))
-    # the sklp+dm arm's training fold (n = 250) and held-out group, as cross_validate_actions feeds them
-    data = sklpdm.with_groups(sklpdm.gen_ring_classes(5, 60, 0.5, 60, 3), 6)
-    held = data.groups == 0
-    fold = sklpdm.LabeledDataset(data.features[:, ~held], data.labels[~held], data.class_count)
-    model, _ = sklpdm.fit(fold, sklpdm.SklpConfig(rho=0.6))
-    cases["diffusion ring fold n=250"] = (
-        sklpdm.project(model, fold.features), sklpdm.project(model, data.features[:, held]),
-        sklpdm.DiffusionConfig())
-    # unit-sum uniform columns: a flat spectrum that exhausts the sweep cap (n = 300)
-    X = np.random.default_rng(0).random((180, 360))
-    X /= X.sum(axis=0)
-    cases["diffusion flat spectrum n=300"] = (X[:, :300], X[:, 300:], sklpdm.DiffusionConfig(embed_dim=2))
+        return X[:, ~held], X[:, held], sklpdm.DiffusionConfig(bandwidth=sigma, embed_dim=3, time=2)
+
+    def ring_fold():
+        # the sklp+dm arm's training fold (n = 250) and held-out group, as cross_validate_actions feeds them
+        data = sklpdm.with_groups(sklpdm.gen_ring_classes(5, 60, 0.5, 60, 3), 6)
+        held = data.groups == 0
+        fold = sklpdm.LabeledDataset(data.features[:, ~held], data.labels[~held], data.class_count)
+        model, _ = sklpdm.fit(fold, sklpdm.SklpConfig(rho=0.6))
+        return (sklpdm.project(model, fold.features), sklpdm.project(model, data.features[:, held]),
+                sklpdm.DiffusionConfig())
+
+    def flat_spectrum():
+        # unit-sum uniform columns: a flat spectrum that exhausts the sweep cap (n = 300)
+        X = np.random.default_rng(0).random((180, 360))
+        X /= X.sum(axis=0)
+        return X[:, :300], X[:, 300:], sklpdm.DiffusionConfig(embed_dim=2)
+
+    cases = {f"diffusion n={n} sigma={sigma}": functools.partial(gaussians, n, sigma)
+             for n in (30, 120, 300) for sigma in (3.0, "auto")}
+    cases["diffusion ring fold n=250"] = ring_fold
+    cases["diffusion flat spectrum n=300"] = flat_spectrum
     return cases
 
 
-def cli_fit_records(cli):
-    """name -> {matrix, eigenvalues} of `fit pca|lda` at --dim auto and at a --dim above the 8 features."""
-    def run(*argv):
-        if cli.run(list(argv)) != 0:
-            raise RuntimeError(f"sklpdm {' '.join(argv)} failed")
+def cli_fit_cases():
+    """name -> function returning the {matrix, eigenvalues} of `fit pca|lda` at --dim auto or above the 8 features."""
+    def record(kind, dim):
+        from sklpdm import cli
 
-    records = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        data, model_path = os.path.join(tmp, "d.csv"), os.path.join(tmp, "model.json")
-        run("synth", "gaussian", "--classes", "3", "--per-class", "30", "--dim", "8", "--seed", "1", "--out", data)
-        for kind in ("pca", "lda"):
-            for dim in ("auto", "50"):
-                run("fit", kind, "--data", data, "--dim", dim, "--out", model_path)
-                with open(model_path, encoding="utf-8") as handle:
-                    model = json.load(handle)
-                records[f"cli fit {kind} --dim {dim}"] = {key: model[key] for key in ("matrix", "eigenvalues")}
-    return records
+        def run(*argv):
+            if cli.run(list(argv)) != 0:
+                raise RuntimeError(f"sklpdm {' '.join(argv)} failed")
+
+        with tempfile.TemporaryDirectory() as tmp:
+            data, model_path = os.path.join(tmp, "d.csv"), os.path.join(tmp, "model.json")
+            run("synth", "gaussian", "--classes", "3", "--per-class", "30", "--dim", "8", "--seed", "1", "--out", data)
+            run("fit", kind, "--data", data, "--dim", dim, "--out", model_path)
+            with open(model_path, encoding="utf-8") as handle:
+                model = json.load(handle)
+        return {key: model[key] for key in ("matrix", "eigenvalues")}
+
+    return {f"cli fit {kind} --dim {dim}": functools.partial(record, kind, dim)
+            for kind in ("pca", "lda") for dim in ("auto", "50")}
 
 
 PLAIN_CSV = """label,f0,f1,group
@@ -128,22 +137,41 @@ def pgm_frames(tmp):
     return paths
 
 
-def read_records(sklpdm):
-    """name -> {"exact": values} of the read paths, each value to be reproduced bit for bit."""
-    exact = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for kind, text in (("plain", PLAIN_CSV), ("quoted", QUOTED_CSV)):
-            path = os.path.join(tmp, f"{kind}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-            data = sklpdm.load_csv(path)
-            exact[f"{kind} features"] = data.features.tolist()
-            exact[f"{kind} label ids"] = data.labels.tolist()
-            exact[f"{kind} label names"] = list(data.label_names)
-            exact[f"{kind} group ids"] = data.groups.tolist()
-        features = sklpdm.silhouette_features.sequence_features(pgm_frames(tmp), 36)
-    return {"read load_csv": {"exact": exact},
-            "read sequence_features": {"exact": {"features": features.tolist()}}}
+def read_cases(sklpdm):
+    """name -> function returning {"exact": values} of a read path, each value to be reproduced bit for bit."""
+    def load_csv_values():
+        exact = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for kind, text in (("plain", PLAIN_CSV), ("quoted", QUOTED_CSV)):
+                path = os.path.join(tmp, f"{kind}.csv")
+                with open(path, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+                data = sklpdm.load_csv(path)
+                exact[f"{kind} features"] = data.features.tolist()
+                exact[f"{kind} label ids"] = data.labels.tolist()
+                exact[f"{kind} label names"] = list(data.label_names)
+                exact[f"{kind} group ids"] = data.groups.tolist()
+        return {"exact": exact}
+
+    def sequence_features_values():
+        with tempfile.TemporaryDirectory() as tmp:
+            features = sklpdm.silhouette_features.sequence_features(pgm_frames(tmp), 36)
+        return {"exact": {"features": features.tolist()}}
+
+    return {"read load_csv": load_csv_values, "read sequence_features": sequence_features_values}
+
+
+def cv_cases(sklpdm):
+    """name -> function returning the confusion counts and fold accuracies of one cross-validated pipeline."""
+    def record(reduction, classifier):
+        data = sklpdm.with_groups(sklpdm.gen_ring_classes(4, 48, 0.5, 30, 7), 4)
+        pipeline = sklpdm.classify_eval.PipelineConfig(
+            reduction=reduction, classifier=classifier, sklp=sklpdm.SklpConfig(rho=0.6))
+        result = sklpdm.classify_eval.cross_validate_actions(data, pipeline)
+        return {"confusion": result.confusion.counts.tolist(), "fold_accuracies": list(result.fold_accuracies)}
+
+    return {f"cv {reduction} {classifier}": functools.partial(record, reduction, classifier)
+            for reduction in sklpdm.classify_eval.PIPELINES for classifier in ("knn", "svm")}
 
 
 def solve_summary(model):
@@ -155,39 +183,38 @@ def solve_summary(model):
 
 
 def collect():
-    """Run every case with the importable sklpdm; returns name -> record."""
+    """Run every case with the importable sklpdm; returns name -> record, {"error": ...} for a case that raised."""
     import sklpdm
-    from sklpdm import classify_eval, cli, diffusion_map
 
-    records = {"sklpdm": os.path.dirname(os.path.dirname(os.path.abspath(sklpdm.__file__)))}
-    for name, (data, config) in sklp_cases(sklpdm).items():
+    def sklp_record(data, config):
         model, state = sklpdm.fit(data, config)
-        records[name] = {
+        return {
             "iteration": state.iteration,
             "best_index": state.best_index,
             "objective_history": [float(j) for j in state.objective_history],
             "matrix": model.matrix.tolist(),
         }
-    for name, (train, held, config) in diffusion_cases(sklpdm).items():
-        model = diffusion_map.fit(train, config)
-        records[name] = {
+
+    def diffusion_record(train, held, config):
+        model = sklpdm.diffusion_map.fit(train, config)
+        return {
             "eigenvalues": model.eigenvalues.tolist(),
             "embedding": model.embedding.tolist(),
-            "extended": diffusion_map.extend(model, held).tolist(),
+            "extended": sklpdm.diffusion_map.extend(model, held).tolist(),
             "solve": solve_summary(model),
         }
-    records.update(cli_fit_records(cli))
-    records.update(read_records(sklpdm))
-    data = sklpdm.with_groups(sklpdm.gen_ring_classes(4, 48, 0.5, 30, 7), 4)
-    for reduction in classify_eval.PIPELINES:
-        for classifier in ("knn", "svm"):
-            pipeline = classify_eval.PipelineConfig(
-                reduction=reduction, classifier=classifier, sklp=sklpdm.SklpConfig(rho=0.6))
-            result = classify_eval.cross_validate_actions(data, pipeline)
-            records[f"cv {reduction} {classifier}"] = {
-                "confusion": result.confusion.counts.tolist(),
-                "fold_accuracies": list(result.fold_accuracies),
-            }
+
+    cases = {name: lambda make=make: sklp_record(*make()) for name, make in sklp_cases(sklpdm).items()}
+    cases.update({name: lambda make=make: diffusion_record(*make()) for name, make in diffusion_cases(sklpdm).items()})
+    cases.update(cli_fit_cases())
+    cases.update(read_cases(sklpdm))
+    cases.update(cv_cases(sklpdm))
+    records = {"sklpdm": os.path.dirname(os.path.dirname(os.path.abspath(sklpdm.__file__)))}
+    for name, record in cases.items():
+        try:
+            records[name] = record()
+        except Exception as exc:  # this case breaches; the others still report
+            records[name] = {"error": repr(exc)}
     return records
 
 
@@ -198,7 +225,11 @@ def max_deviation(old, new, keys):
 
 
 def deviations(old, new):
-    """(summary, within contract) of one case's two records."""
+    """(summary, within contract) of one case's two records; None for a tree that has no such case."""
+    failed = [f"{side} tree {'has no such case' if record is None else 'raised ' + record['error']}"
+              for side, record in (("old", old), ("new", new)) if record is None or "error" in record]
+    if failed:
+        return "; ".join(failed), False
     if "exact" in old:
         differ = [key for key, value in old["exact"].items() if json.dumps(value) != json.dumps(new["exact"].get(key))]
         return (f"differ in {', '.join(differ)}", False) if differ else ("bit-identical", True)
@@ -249,12 +280,13 @@ def main(argv=None):
     if args.new_src is None:
         parser.error("OLD_SRC and NEW_SRC are required")
     old, new = run_tree(args.old_src), run_tree(args.new_src)
+    names = {**old, **new}  # the old tree's cases, then any only the new tree has
     breaches = 0
-    for name in old:
-        summary, ok = deviations(old[name], new[name])
+    for name in names:
+        summary, ok = deviations(old.get(name), new.get(name))
         breaches += not ok
         print(f"{'ok    ' if ok else 'BREACH'} {name}: {summary}")
-    print(f"{len(old) - breaches}/{len(old)} cases within the contract")
+    print(f"{len(names) - breaches}/{len(names)} cases within the contract")
     return 1 if breaches else 0
 
 
