@@ -56,19 +56,20 @@ def lda_fit(dataset: LabeledDataset, target_dim="auto") -> ProjectionModel:
     overall_mean = X.mean(axis=1)
     S_w = np.zeros((D, D))
     S_b = np.zeros((D, D))
-    for k in range(K):
-        members = X[:, labels == k]
-        mu_k = members.mean(axis=1)
-        centered = members - mu_k[:, None]
-        S_w += centered @ centered.T
-        delta = mu_k - overall_mean
-        S_b += members.shape[1] * np.outer(delta, delta)
-    gamma = 1e-6 * float(np.trace(S_w)) / D
-    if gamma <= 0:
-        # within-scatter is zero (e.g. singleton classes); fall back to an
-        # absolute ridge so the pencil stays definite
-        gamma = 1e-6 * max(float(np.trace(S_b)) / D, 1.0)
-    G = S_w + gamma * np.eye(D)
+    with np.errstate(over="ignore", invalid="ignore"):  # a scatter that overflows is reported below
+        for k in range(K):
+            members = X[:, labels == k]
+            mu_k = members.mean(axis=1)
+            centered = members - mu_k[:, None]
+            S_w += centered @ centered.T
+            delta = mu_k - overall_mean
+            S_b += members.shape[1] * np.outer(delta, delta)
+        gamma = 1e-6 * float(np.trace(S_w)) / D
+        if gamma <= 0:
+            # within-scatter is zero (e.g. singleton classes); fall back to an
+            # absolute ridge so the pencil stays definite
+            gamma = 1e-6 * max(float(np.trace(S_b)) / D, 1.0)
+        G = S_w + gamma * np.eye(D)
     if not (np.isfinite(G).all() and np.isfinite(S_b).all()):
         raise NumericalError("the class scatter is not finite: rescale the features to a smaller magnitude")
     g_values, g_vectors = np.linalg.eigh(G)

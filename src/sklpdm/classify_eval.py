@@ -55,6 +55,12 @@ class SvmModel:
     biases: np.ndarray
     objective_histories: tuple = ()
 
+    def __post_init__(self):
+        for name in ("weights", "biases"):
+            array = np.array(getattr(self, name), dtype=np.float64)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -137,9 +143,10 @@ def knn_predict(train, test, config: KnnConfig | None = None):
 
 
 def _hinge_objective(X, targets, w, b, reg):
+    """(objective, margins) at (w, b); the margins of an accepted step are the next epoch's."""
     margins = targets * (w @ X + b)
     hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * reg * float(w @ w) + float(hinge.mean())
+    return 0.5 * reg * float(w @ w) + float(hinge.mean()), margins
 
 
 def _fit_binary_svm(X, targets, config: SvmConfig):
@@ -153,9 +160,9 @@ def _fit_binary_svm(X, targets, config: SvmConfig):
     w = np.zeros(D)
     b = 0.0
     step = 1.0
-    history = [_hinge_objective(X, targets, w, b, reg)]
+    value, margins = _hinge_objective(X, targets, w, b, reg)
+    history = [value]
     for _ in range(config.epochs):
-        margins = targets * (w @ X + b)
         active = margins < 1.0
         grad_w = reg * w - (X[:, active] * targets[active]).sum(axis=1) / n
         grad_b = -targets[active].sum() / n
@@ -166,9 +173,9 @@ def _fit_binary_svm(X, targets, config: SvmConfig):
         for _ in range(60):
             w_new = w - trial * grad_w
             b_new = b - trial * grad_b
-            value = _hinge_objective(X, targets, w_new, b_new, reg)
+            value, trial_margins = _hinge_objective(X, targets, w_new, b_new, reg)
             if value <= history[-1]:
-                w, b = w_new, b_new
+                w, b, margins = w_new, b_new, trial_margins
                 history.append(value)
                 step = trial * 1.5
                 accepted = True
@@ -188,7 +195,7 @@ def svm_fit(train, config: SvmConfig | None = None) -> SvmModel:
     if config is None:
         config = SvmConfig()
     X, y = _training_set(train)
-    if len(np.unique(y)) < 2:
+    if y.size == 0 or (y == y[0]).all():
         raise DataError("svm_fit needs at least 2 classes")
     if y.min() < 0:
         raise DataError("svm_fit needs labels >= 0")
@@ -332,7 +339,7 @@ def cross_validate_actions(dataset: LabeledDataset, pipeline: PipelineConfig) ->
     fold_accuracies = []
     for train_idx, test_idx in leave_one_group_out(dataset):
         train_y = dataset.labels[train_idx]
-        if len(np.unique(train_y)) != K:
+        if not np.bincount(train_y, minlength=K).all():
             raise DataError("fold leaves a class with no training samples")
         train_X = dataset.features[:, train_idx]
         test_X = dataset.features[:, test_idx]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -432,6 +433,7 @@ def run(argv=None):
 
 
 def main():
+    gc.freeze()  # collections, the exit-time ones too, skip the import-time objects a one-shot process never frees
     sys.exit(run())
 
 

@@ -64,7 +64,7 @@ class LabeledDataset:
             raise DataError("class_count must be positive")
         if labels.min() < 0 or labels.max() >= self.class_count:
             raise DataError(f"labels must lie in [0, {self.class_count})")
-        if len(np.unique(labels)) != self.class_count:
+        if not np.bincount(labels, minlength=self.class_count).all():
             raise DataError("every class id in [0, K) must occur at least once")
         names = self.label_names or tuple(f"c{k}" for k in range(self.class_count))
         if len(names) != self.class_count:
@@ -334,7 +334,7 @@ def leave_one_group_out(dataset: LabeledDataset) -> tuple:
     """One (train indices, test indices) fold per distinct group id; that group is the test side."""
     if dataset.groups is None:
         raise DataError("leave_one_group_out requires group ids")
-    group_ids = np.unique(dataset.groups)
+    group_ids = np.flatnonzero(np.bincount(dataset.groups))
     if len(group_ids) < 2:
         raise DataError("leave_one_group_out requires at least 2 distinct groups")
     indices = np.arange(dataset.sample_count, dtype=np.int64)

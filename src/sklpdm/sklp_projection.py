@@ -363,8 +363,9 @@ def covariance(X):
     """Column mean and sample covariance (1/(n-1) normalization, exactly symmetric, finite) of X's columns."""
     mean = X.mean(axis=1)
     centered = X - mean[:, None]
-    cov = centered @ centered.T / (X.shape[1] - 1)
-    cov = (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a covariance that overflows is reported below
+        cov = centered @ centered.T / (X.shape[1] - 1)
+        cov = (cov + cov.T) / 2.0
     if not np.isfinite(cov).all():
         raise NumericalError("the feature covariance is not finite: rescale the features to a smaller magnitude")
     return mean, cov

@@ -123,6 +123,21 @@ class TestSvm:
             values = list(history)
             assert all(values[i + 1] <= values[i] for i in range(len(values) - 1))
 
+    def test_model_owns_read_only_copies(self):
+        model = svm_fit((np.array([[-1.0, 1.0]]), np.array([0, 1])), SvmConfig())
+        weights, biases = model.weights.copy(), model.biases.copy()
+        before = svm_predict(model, np.array([[3.0, -3.0]]))
+        with pytest.raises(ValueError, match="read-only"):
+            model.weights[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.biases[0] = 0.0
+        built = model.__class__(weights=weights, biases=biases)
+        weights[:] = 0.0
+        biases[:] = 0.0
+        np.testing.assert_array_equal(built.weights, model.weights)
+        np.testing.assert_array_equal(built.biases, model.biases)
+        np.testing.assert_array_equal(svm_predict(built, np.array([[3.0, -3.0]])), before)
+
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             svm_fit((np.zeros((2, 4)), np.zeros(4, dtype=int)), SvmConfig())
@@ -146,13 +161,14 @@ SIX_LABELS = np.array([0, 0, 1, 1, 2, 2])
 @pytest.mark.parametrize("call, message", [
     (lambda: svm_fit((SIX_COLUMNS, SIX_LABELS[:5])), "5 training labels for 6 training columns"),
     (lambda: svm_fit((SIX_COLUMNS, SIX_LABELS - 1)), "svm_fit needs labels >= 0"),
+    (lambda: svm_fit((SIX_COLUMNS[:, :0], SIX_LABELS[:0])), "svm_fit needs at least 2 classes"),
     (lambda: svm_predict(svm_fit((SIX_COLUMNS, SIX_LABELS)), SIX_COLUMNS[:, 0]),
      r"test features must be a 2-D matrix \(columns are samples\), got shape \(2,\)"),
     (lambda: knn_predict((SIX_COLUMNS, SIX_LABELS[:4]), SIX_COLUMNS), "4 training labels for 6 training columns"),
     (lambda: knn_predict((SIX_COLUMNS, SIX_LABELS), SIX_COLUMNS[:, 0]),
      r"test features must be a 2-D matrix \(columns are samples\), got shape \(2,\)"),
     (lambda: knn_predict((SIX_COLUMNS[0], SIX_LABELS), SIX_COLUMNS), r"training features must be a 2-D matrix"),
-], ids=["svm-short-labels", "svm-negative-label", "svm-1d-test", "knn-short-labels", "knn-1d-test", "knn-1d-train"])
+], ids=["svm-short-labels", "svm-negative-label", "svm-no-labels", "svm-1d-test", "knn-short-labels", "knn-1d-test", "knn-1d-train"])
 def test_mismatched_classifier_inputs_rejected(call, message):
     with pytest.raises(DataError, match=message):
         call()
@@ -307,7 +323,7 @@ class TestCrossValidate:
             groups=[0, 0, 1, 1],  # group 0 holds all of class 0
         )
         pipeline = PipelineConfig(reduction="pca", sklp=SklpConfig(target_dim=1))
-        with pytest.raises(DataError, match="class"):
+        with pytest.raises(DataError, match="fold leaves a class with no training samples"):
             cross_validate_actions(data, pipeline)
 
     def test_result_echoes_only_the_settings_its_arm_reads(self):

@@ -7,6 +7,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +184,6 @@ class TestSynthAndFit:
         assert not (tmp_path / "out.manifest.json").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale, command, message", [
         (1e155, ["diffuse"], "median distance inf has sigma^2 outside [2.2e-308, inf): rescale the features"),
         (1e155, ["fit", "sklp"], "covariance is not finite: rescale the features to a smaller magnitude"),
@@ -202,6 +202,18 @@ class TestSynthAndFit:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and message in err and "rescale the features" in err
         assert not out.exists()
+
+    def test_overflowing_fit_warns_nothing_before_its_message(self, tmp_path, capsys, gaussian_csv):
+        """The scatter sums that overflow at x1e155 are reported by the fit's own message alone."""
+        data = load_csv(gaussian_csv)
+        scaled = tmp_path / "scaled.csv"
+        save_csv(dataclasses.replace(data, features=data.features * 1e155), scaled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("pca", "lda", "sklp"):
+                assert invoke("fit", kind, "--data", str(scaled), "--out", str(tmp_path / "m.json")) == 3, kind
+                err = capsys.readouterr().err
+                assert err.startswith("numerical failure: ") and "rescale the features" in err, kind
 
     @pytest.mark.parametrize("files, argv, code, message", [
         ({"m.txt": ""}, ["radon", "--manifest", "{tmp}/m.txt"], 2, "{tmp}/m.txt: empty manifest"),
@@ -710,6 +722,42 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert out.exists()
+
+
+NO_MASKED_ARRAYS_SCRIPT = """
+import sys
+from sklpdm import cli
+
+pixels = [[int(2 <= r < 6 and 2 <= c < 6) * 255 for c in range(8)] for r in range(10)]
+for f in range(4):
+    with open(f"f{f}.pgm", "w") as handle:
+        handle.write("P2\\n8 10\\n255\\n" + "\\n".join(" ".join(map(str, row)) for row in pixels[f:] + pixels[:f]))
+with open("frames.csv", "w") as handle:
+    handle.write("path,label,group\\n" + "".join(f"f{f}.pgm,{'ab'[f % 2]},p{f // 2}\\n" for f in range(4)))
+commands = [
+    ["synth", "gaussian", "--classes", "3", "--per-class", "12", "--dim", "5", "--groups", "3", "--out", "d.csv"],
+    ["radon", "--manifest", "frames.csv", "--angles", "12", "--out", "r.csv"],
+    *(["fit", kind, "--data", "d.csv", "--out", f"{kind}.json"] for kind in ("sklp", "pca", "lda")),
+    ["project", "--model", "sklp.json", "--data", "d.csv", "--out", "p.csv"],
+    ["diffuse", "--data", "d.csv", "--out", "e.csv"],
+    ["classify", "knn", "--train", "d.csv", "--test", "d.csv", "--vote-by-group", "--report", "knn.txt"],
+    ["classify", "svm", "--train", "d.csv", "--test", "d.csv", "--report", "svm.txt"],
+    ["evaluate", "pca", "knn", "--data", "d.csv", "--report", "ev.txt", "--confusion", "c.csv"],
+    ["trace", "--data", "d.csv", "--out", "t.csv"],
+]
+for argv in commands:
+    assert cli.run(argv) == 0, argv
+    if "numpy.ma" in sys.modules:
+        sys.exit(f"{' '.join(argv[:2])} imported numpy.ma")
+"""
+
+
+def test_no_command_imports_masked_arrays(tmp_path):
+    """Importing numpy.ma costs a fresh process 15-20 ms, and no command needs it (np.unique would load it)."""
+    src = str(Path(sys.modules["sklpdm"].__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS_SCRIPT], cwd=tmp_path, capture_output=True,
+                            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
 
 
 def test_version_flag():

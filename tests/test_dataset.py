@@ -287,6 +287,10 @@ class TestSaveCsv:
         with pytest.raises(DataError, match=message):
             LabeledDataset(np.ones((1, 3)), [0, 1, 1], 2, groups=groups, group_names=group_names)
 
+    def test_every_class_must_occur(self):
+        with pytest.raises(DataError, match=r"every class id in \[0, K\) must occur at least once"):
+            LabeledDataset(np.ones((1, 3)), [0, 2, 2], 3)
+
     def test_unwritable_path(self, tmp_path):
         data = LabeledDataset(features=np.ones((1, 1)), labels=[0], class_count=1)
         with pytest.raises(DataError):
@@ -398,6 +402,7 @@ class TestLeaveOneGroupOut:
             return
         plan = leave_one_group_out(self.make(groups))
         everything = set(range(len(groups)))
+        assert [groups[test[0]] for _, test in plan] == sorted(set(groups))  # ascending group ids
         groups = np.asarray(groups)
         for train, test in plan:
             assert set(train) | set(test) == everything

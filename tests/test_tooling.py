@@ -133,9 +133,11 @@ def test_compare_outputs_flags_each_breach():
     assert deviations(read, read) == ("bit-identical", True)
     breaches = [{"exact": {"features": [[0.5, 0.0]], "label names": ["walk, fast"]}},
                 {"exact": {"features": [[0.5, -0.0]], "label names": ["walk"]}},
-                {"exact": {"features": [[0.5, -0.0]]}}]
+                {"exact": {"features": [[0.5, -0.0]]}},
+                {"exact": {**read["exact"], "extra.csv": "x\n"}}]
     assert [deviations(read, changed) for changed in breaches] == [
-        ("differ in features", False), ("differ in label names", False), ("differ in label names", False)]
+        ("differ in features", False), ("differ in label names", False), ("differ in label names", False),
+        ("differ in extra.csv", False)]
     assert deviations(None, cv) == ("old tree has no such case", False)
     assert deviations(cv, None) == ("new tree has no such case", False)
     assert deviations(cv, {"error": "DataError('bad frame')"}) == ("new tree raised DataError('bad frame')", False)
@@ -154,9 +156,11 @@ def test_compare_outputs_accepts_a_tree_against_itself():
     src = Path(sklpdm.__file__).resolve().parents[1]
     code, verdicts, output = run_compare(src, src)
     assert code == 0, output
-    assert "BREACH" not in output and "34/34 cases within the contract" in output
+    assert "BREACH" not in output and "35/35 cases within the contract" in output
     assert len([name for name in verdicts if name.startswith("diffusion")]) == 8
     assert len([name for name in verdicts if name.startswith("cli fit")]) == 4
+    assert re.findall(r"^ok +(cli process .+): bit-identical$", output, re.M) == [
+        "cli process radon, classify svm, diffuse"]
     assert re.findall(r"^ok +(read .+): bit-identical$", output, re.M) == ["read load_csv", "read sequence_features"]
     assert re.search(r"^ok +diffusion ring fold n=250: .*\(solve iterative, \d+ sweeps / iterative, \d+ sweeps\)$",
                      output, re.M), output
@@ -165,7 +169,8 @@ def test_compare_outputs_accepts_a_tree_against_itself():
 
 
 def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):
-    """A copy whose diffusion kernel uses sigma * (1 + 1e-7) breaches every diffusion case and nothing else."""
+    """A copy whose diffusion kernel uses sigma * (1 + 1e-7) breaches every diffusion case, the process chain's
+    `diffuse` among them, and nothing else."""
     src = Path(sklpdm.__file__).resolve().parents[1]
     shutil.copytree(src / "sklpdm", tmp_path / "sklpdm", ignore=shutil.ignore_patterns("__pycache__"))
     with open(tmp_path / "sklpdm" / "diffusion_map.py", "a", encoding="utf-8") as handle:
@@ -176,13 +181,17 @@ def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):
         )
     code, verdicts, output = run_compare(src, tmp_path)
     diffusion = [name for name in verdicts if name.startswith("diffusion")]
-    assert len(verdicts) == 34 and len(diffusion) == 8, output
-    assert [name for name, status in verdicts.items() if status == "BREACH"] == diffusion
+    assert len(verdicts) == 35 and len(diffusion) == 8, output
+    assert [name for name, status in verdicts.items() if status == "BREACH"] == diffusion + [
+        "cli process radon, classify svm, diffuse"]
+    assert re.search(r"^BREACH cli process radon, classify svm, diffuse: differ in embedding.csv, "
+                     r"embedding.csv.model.json$", output, re.M), output
     assert code == 1
 
 
 def test_compare_outputs_reports_each_case_when_one_raises(tmp_path):
-    """A copy whose sequence_features raises and which drops the dm arm: those cases breach, every other reports."""
+    """A copy whose sequence_features raises and which drops the dm arm: those cases and the process chain's `radon`
+    breach, every other reports."""
     src = Path(sklpdm.__file__).resolve().parents[1]
     shutil.copytree(src / "sklpdm", tmp_path / "sklpdm", ignore=shutil.ignore_patterns("__pycache__"))
     with open(tmp_path / "sklpdm" / "silhouette_features.py", "a", encoding="utf-8") as handle:
@@ -190,10 +199,12 @@ def test_compare_outputs_reports_each_case_when_one_raises(tmp_path):
     with open(tmp_path / "sklpdm" / "classify_eval.py", "a", encoding="utf-8") as handle:
         handle.write('\nPIPELINES = ("pca", "lda", "sklp+dm")\n')
     code, verdicts, output = run_compare(src, tmp_path)
-    assert code == 1 and len(verdicts) == 34, output
+    assert code == 1 and len(verdicts) == 35, output
     assert [name for name, status in verdicts.items() if status == "BREACH"] == [
-        "read sequence_features", "cv dm knn", "cv dm svm"], output
+        "cli process radon, classify svm, diffuse", "read sequence_features", "cv dm knn", "cv dm svm"], output
+    assert re.search(r"^BREACH cli process radon, classify svm, diffuse: new tree raised RuntimeError\('sklpdm radon "
+                     r"exited 2: data error: no frames today'\)$", output, re.M), output
     assert re.search(r"^BREACH read sequence_features: new tree raised DataError\('no frames today'\)$", output, re.M)
     assert re.search(r"^BREACH cv dm knn: new tree has no such case$", output, re.M)
-    assert "31/34 cases within the contract" in output
+    assert "31/35 cases within the contract" in output
 

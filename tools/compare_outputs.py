@@ -5,13 +5,14 @@
 OLD_SRC and NEW_SRC are directories that hold an `sklpdm` package (a
 checkout's `src`). The tool runs a fixed set of SKLP fits, diffusion fits
 with their Nystrom extensions, `fit pca` and `fit lda` through the tree's
-`sklpdm.cli.run`, two read paths (`load_csv` on a plain and on a
-quoted-label file, `sequence_features` on P2 and P5 frames with header
-comments) and all 8 cross-validation pipelines (4 reductions x KNN/SVM)
-in one subprocess per tree with only that tree on PYTHONPATH. Each case
-runs on its own, so a case that raises is reported as a breach naming its
-exception while the others still report, and so is a case that only one
-tree has. It prints every case's deviations, and for a diffusion case how
+`sklpdm.cli.run`, one chain of `python -m sklpdm` processes (`radon`,
+`classify svm --vote-by-group`, `diffuse`), two read paths (`load_csv`
+on a plain and on a quoted-label file, `sequence_features` on P2 and P5
+frames with header comments) and all 8 cross-validation pipelines
+(4 reductions x KNN/SVM) in one subprocess per tree with only that tree
+on PYTHONPATH. Each case runs on its own, so a case that raises is
+reported as a breach naming its exception while the others still report,
+and so is a case that only one tree has. It prints every case's deviations, and for a diffusion case how
 each tree solved it (iterative or dense, and the sweeps run). It exits 1
 if any case breaches the contract that the README states under
 "Tolerance contract":
@@ -21,7 +22,8 @@ if any case breaches the contract that the README states under
   - diffusion fits: eigenvalues, embedding and extended held-out points
     within 1e-10 entrywise;
   - `fit pca|lda` models: matrix and eigenvalues within 1e-10 entrywise;
-  - read paths: every value bit for bit;
+  - read paths and the process chain: every value, and every byte the
+    chain wrote, bit for bit (manifests without `duration_s`);
   - cross-validation: equal confusion counts and fold accuracies.
 """
 
@@ -103,6 +105,43 @@ def cli_fit_cases():
 
     return {f"cli fit {kind} --dim {dim}": functools.partial(record, kind, dim)
             for kind in ("pca", "lda") for dim in ("auto", "50")}
+
+
+def cli_process_cases(sklpdm):
+    """name -> function returning {"exact": files} of a `python -m sklpdm` chain on the PGM frames: radon,
+    `classify svm --vote-by-group` and diffuse, each in its own process of the given package's tree. files
+    maps every file the chain wrote to its text, or for a manifest to its JSON without `duration_s`."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(sklpdm.__file__))))
+
+    def chain():
+        with tempfile.TemporaryDirectory() as tmp:
+            frames = [(os.path.basename(path), ("walk", "run")[f % 2]) for f, path in enumerate(pgm_frames(tmp))]
+            for split, order in (("train", frames), ("test", frames[::-1])):
+                rows = "".join(f"{name},{label},{split}{i // 2}\n" for i, (name, label) in enumerate(order))
+                with open(os.path.join(tmp, f"{split}.txt"), "w", encoding="utf-8") as handle:
+                    handle.write("path,label,group\n" + rows)
+            inputs = set(os.listdir(tmp))
+            for argv in (
+                ["radon", "--manifest", "train.txt", "--angles", "36", "--out", "train.csv"],
+                ["radon", "--manifest", "test.txt", "--angles", "36", "--out", "test.csv"],
+                ["classify", "svm", "--train", "train.csv", "--test", "test.csv", "--vote-by-group",
+                 "--report", "svm.txt"],
+                ["diffuse", "--data", "train.csv", "--dim", "2", "--out", "embedding.csv"],
+            ):
+                proc = subprocess.run([sys.executable, "-m", "sklpdm", *argv], cwd=tmp, env=env, capture_output=True,
+                                      text=True)
+                if proc.returncode != 0:
+                    raise RuntimeError(f"sklpdm {argv[0]} exited {proc.returncode}: {proc.stderr.strip()}")
+            files = {}
+            for name in sorted(set(os.listdir(tmp)) - inputs):
+                with open(os.path.join(tmp, name), encoding="utf-8") as handle:
+                    files[name] = handle.read()
+                if name.endswith(".manifest.json"):
+                    files[name] = json.loads(files[name])
+                    del files[name]["duration_s"]
+        return {"exact": files}
+
+    return {"cli process radon, classify svm, diffuse": chain}
 
 
 PLAIN_CSV = """label,f0,f1,group
@@ -207,6 +246,7 @@ def collect():
     cases = {name: lambda make=make: sklp_record(*make()) for name, make in sklp_cases(sklpdm).items()}
     cases.update({name: lambda make=make: diffusion_record(*make()) for name, make in diffusion_cases(sklpdm).items()})
     cases.update(cli_fit_cases())
+    cases.update(cli_process_cases(sklpdm))
     cases.update(read_cases(sklpdm))
     cases.update(cv_cases(sklpdm))
     records = {"sklpdm": os.path.dirname(os.path.dirname(os.path.abspath(sklpdm.__file__)))}
@@ -231,7 +271,8 @@ def deviations(old, new):
     if failed:
         return "; ".join(failed), False
     if "exact" in old:
-        differ = [key for key, value in old["exact"].items() if json.dumps(value) != json.dumps(new["exact"].get(key))]
+        differ = [key for key in {**old["exact"], **new["exact"]}
+                  if json.dumps(old["exact"].get(key)) != json.dumps(new["exact"].get(key))]
         return (f"differ in {', '.join(differ)}", False) if differ else ("bit-identical", True)
     if "confusion" in old:
         return ("equal", True) if old == new else (f"differ: {old} vs {new}", False)
