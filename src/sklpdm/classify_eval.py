@@ -35,12 +35,10 @@ class KnnConfig:
 @dataclass(frozen=True)
 class SvmConfig:
     regularization: float = 1e-3
-    epochs: int = 200
 
     def __post_init__(self):
         if not 0 < self.regularization < np.inf:
             raise DataError(f"regularization must be positive and finite, got {self.regularization!r}")
-        object.__setattr__(self, "epochs", positive_int(self.epochs, "epochs"))
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class SvmModel:
     """One-vs-rest linear classifiers: scores = weights @ x + biases.
 
     weights is K x D and biases has length K; objective_histories holds
-    each binary classifier's per-epoch hinge objective.
+    each binary classifier's objective at the start and after each Newton step.
     """
 
     weights: np.ndarray
@@ -142,55 +140,59 @@ def knn_predict(train, test, config: KnnConfig | None = None):
     return np.array([_majority(row) for row in neighbors], dtype=np.int64)
 
 
-def _hinge_objective(X, targets, w, b, reg):
-    """(objective, margins) at (w, b); the margins of an accepted step are the next epoch's."""
-    margins = targets * (w @ X + b)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * reg * float(w @ w) + float(hinge.mean()), margins
+_MAX_NEWTON_STEPS = 50  # a guard: the decrement stops a binary fit within about 10 steps
 
 
-def _fit_binary_svm(X, targets, config: SvmConfig):
-    """Deterministic batch subgradient descent with backtracking.
+def _squared_hinge(Z, targets, v, penalty):
+    """(objective, scores) at v: 0.5 * sum(penalty * v^2) + mean(max(0, 1 - targets * scores)^2), scores = v @ Z."""
+    scores = v @ Z
+    slack = np.maximum(0.0, 1.0 - targets * scores)
+    return 0.5 * float(penalty @ (v * v)) + float(slack @ slack) / len(targets), scores
 
-    The step halves until the objective does not increase, so the recorded
-    per-epoch objective sequence is non-increasing by construction.
+
+def _fit_binary_svm(Z, targets, reg):
+    """Finite Newton on the squared hinge (Mangasarian 2002; Keerthi & DeCoste 2005).
+
+    Z carries a row of ones, so v = (w, b) and the bias goes unpenalised.
+    Each step solves the generalized Newton system on the active set (the
+    samples with margin below 1), then halves its length until the Armijo
+    condition holds, so the recorded objectives never increase. The fit
+    stops when the Newton decrement falls below 1e-14 (1 + f).
     """
-    D, n = X.shape
-    reg = config.regularization
-    w = np.zeros(D)
-    b = 0.0
-    step = 1.0
-    value, margins = _hinge_objective(X, targets, w, b, reg)
+    n = len(targets)
+    penalty = np.full(len(Z), reg)
+    penalty[-1] = 0.0
+    v = np.zeros(len(Z))
+    value, scores = _squared_hinge(Z, targets, v, penalty)
     history = [value]
-    for _ in range(config.epochs):
-        active = margins < 1.0
-        grad_w = reg * w - (X[:, active] * targets[active]).sum(axis=1) / n
-        grad_b = -targets[active].sum() / n
-        if not np.any(grad_w) and grad_b == 0.0:
+    for _ in range(_MAX_NEWTON_STEPS):
+        active = targets * scores < 1.0
+        Za = Z[:, active]
+        grad = penalty * v - (2.0 / n) * (Za @ (targets[active] - scores[active]))
+        hessian = (2.0 / n) * (Za @ Za.T)
+        hessian.flat[::len(Z) + 1] += penalty
+        if not active.any():  # the bias row is zero, and so is its gradient: b stays
+            hessian[-1, -1] = 1.0
+        step = np.linalg.solve(hessian, -grad)
+        decrement = -float(grad @ step)
+        if decrement < 1e-14 * (1.0 + value):
             break
-        accepted = False
-        trial = step
-        for _ in range(60):
-            w_new = w - trial * grad_w
-            b_new = b - trial * grad_b
-            value, trial_margins = _hinge_objective(X, targets, w_new, b_new, reg)
-            if value <= history[-1]:
-                w, b, margins = w_new, b_new, trial_margins
-                history.append(value)
-                step = trial * 1.5
-                accepted = True
-                break
-            trial /= 2.0
-        if not accepted:
-            break  # subgradient plateau
-    return w, b, history
+        size = 1.0
+        while (trial := _squared_hinge(Z, targets, v + size * step, penalty))[0] > value - 1e-4 * size * decrement:
+            size /= 2.0
+        v = v + size * step
+        value, scores = trial
+        history.append(value)
+    return v, history
 
 
 def svm_fit(train, config: SvmConfig | None = None) -> SvmModel:
-    """One-vs-rest hinge-loss linear classifiers.
+    """One-vs-rest squared-hinge linear classifiers, each solved to its optimum by finite Newton.
 
-    Training is deterministic (zero initialization, batch subgradient with
-    backtracking) and consumes no randomness.
+    Features are standardised with the training mean and standard deviation,
+    and the standardisation is folded back into the weights and biases. A
+    constant feature, or one whose deviations square below the smallest
+    float, gets scale 1. Training consumes no randomness.
     """
     if config is None:
         config = SvmConfig()
@@ -199,17 +201,13 @@ def svm_fit(train, config: SvmConfig | None = None) -> SvmModel:
         raise DataError("svm_fit needs at least 2 classes")
     if y.min() < 0:
         raise DataError("svm_fit needs labels >= 0")
-    K = int(y.max()) + 1
-    weights = np.zeros((K, X.shape[0]))
-    biases = np.zeros(K)
-    histories = []
-    for k in range(K):
-        targets = np.where(y == k, 1.0, -1.0)
-        w, b, history = _fit_binary_svm(X, targets, config)
-        weights[k] = w
-        biases[k] = b
-        histories.append(tuple(history))
-    return SvmModel(weights=weights, biases=biases, objective_histories=tuple(histories))
+    mean, std = X.mean(axis=1), X.std(axis=1)
+    scale = np.where((np.ptp(X, axis=1) > 0.0) & (std > 0.0), std, 1.0)
+    Z = np.vstack([(X - mean[:, None]) / scale[:, None], np.ones(len(y))])
+    fits = [_fit_binary_svm(Z, np.where(y == k, 1.0, -1.0), config.regularization) for k in range(y.max() + 1)]
+    weights = np.array([v[:-1] for v, _ in fits]) / scale
+    return SvmModel(weights=weights, biases=np.array([v[-1] for v, _ in fits]) - weights @ mean,
+                    objective_histories=tuple(tuple(history) for _, history in fits))
 
 
 def svm_predict(model: SvmModel, test):

@@ -71,11 +71,10 @@ def _add_sklp_flags(command):
 
 
 def _add_classifier_flags(knn_command, svm_command):
-    """--k on knn_command, --reg and --epochs on svm_command, defaulting to KnnConfig()'s and SvmConfig()'s."""
+    """--k on knn_command and --reg on svm_command, defaulting to KnnConfig()'s and SvmConfig()'s."""
     knn, svm = classify_eval.KnnConfig(), classify_eval.SvmConfig()
     knn_command.add_argument("--k", type=int, default=knn.k)
     svm_command.add_argument("--reg", type=float, default=svm.regularization)
-    svm_command.add_argument("--epochs", type=int, default=svm.epochs)
 
 
 def _build_parser():
@@ -332,7 +331,7 @@ def _cmd_classify(args):
         config = classify_eval.KnnConfig(k=args.k)
         predicted = classify_eval.knn_predict((train.features, train.labels), test.features, config)
     else:
-        config = classify_eval.SvmConfig(regularization=args.reg, epochs=args.epochs)
+        config = classify_eval.SvmConfig(regularization=args.reg)
         model = classify_eval.svm_fit((train.features, train.labels), config)
         predicted = classify_eval.svm_predict(model, test.features)
     matrix = classify_eval.confusion(test_y, predicted, train.class_count, train.label_names)
@@ -373,7 +372,7 @@ def _cmd_evaluate(args):
     if args.classifier == "knn":
         configs["knn"] = classify_eval.KnnConfig(k=args.k)
     else:
-        configs["svm"] = classify_eval.SvmConfig(regularization=args.reg, epochs=args.epochs)
+        configs["svm"] = classify_eval.SvmConfig(regularization=args.reg)
     pipeline = classify_eval.PipelineConfig(reduction=args.pipeline, classifier=args.classifier, **configs)
     result = classify_eval.cross_validate_actions(data, pipeline)
     text = _report_text(

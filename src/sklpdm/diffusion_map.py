@@ -152,7 +152,8 @@ def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
     kept = config.embed_dim + 1  # the trivial pair, then the retained ones
     if n < kept:
         raise DataError(f"embed_dim {config.embed_dim} exceeds available eigenpairs for n={n}")
-    S = pairwise_sq_distances(X)  # one buffer: distances, their median, affinity W, conjugate
+    with np.errstate(over="ignore", invalid="ignore"):  # an "auto" bandwidth reports overflow: rescale
+        S = pairwise_sq_distances(X)  # one buffer: distances, their median, affinity W, conjugate
     sigma = _bandwidth(S, config.bandwidth)
     # the symmetric conjugate D^-1/2 W D^-1/2 of T = D^-1 W shares its (real)
     # spectrum; scaled in place row by row, it is exactly symmetric as W is

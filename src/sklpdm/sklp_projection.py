@@ -479,6 +479,29 @@ def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
     )
 
 
+def _smallest_admissible_rho(moments, state, rho):
+    """The smallest rho (to 4 decimals, rounded up) whose scatter at this state's kernel averages has an
+    eigenvalue above solve_eig's floor, or None. The scatter is affine in rho, negative semidefinite at 0
+    and positive semidefinite at 1, so its top eigenvalue grows with rho and a bisection finds the rho."""
+    A_0, A_1 = (scatter_matrix(moments, alpha_weights(state.m_c, state.m_o, r, state.class_weights))
+                for r in (0.0, 1.0))
+
+    def admissible(steps):  # at rho = steps / 10**4
+        try:
+            solve_eig(A_0 + steps / 1e4 * (A_1 - A_0), 1)
+        except NumericalError:
+            return False
+        return True
+
+    low, high = math.floor(rho * 1e4), 10 ** 4
+    if not admissible(high):
+        return None
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if admissible(middle) else (middle, high)
+    return high / 1e4
+
+
 def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
     """Run the iterative fit; returns (ProjectionModel, SklpState).
 
@@ -506,10 +529,10 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
         try:
             values, P = solve_eig(scatter, state.dim)
         except NumericalError as exc:
-            raise NumericalError(
-                f"iteration {t} with rho={config.rho}: {exc}; a larger rho weights "
-                "the inter-class term more"
-            ) from exc
+            rho = _smallest_admissible_rho(moments, state, config.rho)
+            fix = f"rho >= {rho}" if rho else "no rho < 1"
+            raise NumericalError(f"iteration {t} with rho={config.rho}: {exc}; a larger rho weights the inter-class "
+                                 f"term more, and {fix} gives this iteration's scatter a positive eigenvalue") from exc
         update_distances(state.M, P, X, config.learning_rate)
         # one exp(-M / sigma^2) gives this objective and the next iteration's averages
         sums = _kernel_sums(state.M, labels, K, state.sigma)

@@ -316,7 +316,7 @@ def ring_sweep():
 @pytest.fixture(scope="module")
 def blob_sweep():
     """SVM accuracies on sklp- vs pca-projected blobs, plus the fit states."""
-    svm_cfg = SvmConfig(regularization=1e-3, epochs=200)
+    svm_cfg = SvmConfig(regularization=1e-3)
     sklp_cfg = SklpConfig(rho=SWEEP_RHO)
     results = {"sklp": [], "pca": []}
     states = []

@@ -10,6 +10,8 @@ from sklpdm import (
     DiffusionConfig,
     LabeledDataset,
     NumericalError,
+    PipelineConfig,
+    cross_validate_actions,
     diffusion_map,
     fit,
     gen_gaussian_classes,
@@ -20,7 +22,9 @@ from sklpdm import (
     project,
     svm_fit,
     svm_predict,
+    with_groups,
 )
+from sklpdm.classify_eval import PIPELINES
 from sklpdm.sklp_projection import output_dim
 
 from oracles import jacobi_eigh, knn_oracle
@@ -255,3 +259,23 @@ def test_classifiers_and_diffusion_at_defaults_return_finite_outputs_or_raise(da
         return
     assert np.isfinite(model.embedding).all() and np.isfinite(extended).all()
     assert extended.shape == (test.shape[1], model.embedding.shape[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(ordinary_datasets(), st.integers(2, 4))
+def test_cross_validation_at_defaults_returns_an_accuracy_or_says_what_to_change(data, group_count):
+    """cross_validate_actions at default settings, every arm under each classifier, on round-robin groups:
+    an accuracy in [0, 1], or an error naming the fix. SKLP's names the rho that gives a positive eigenvalue,
+    and a fold too small for the default embedding names embed_dim."""
+    data = with_groups(data, group_count)
+    for reduction in PIPELINES:
+        fix = r"rescale the features|embed_dim \d+ exceeds"
+        if reduction == "sklp+dm":
+            fix += r"|rho >= 0\.\d+ gives"
+        for classifier in ("knn", "svm"):
+            try:
+                result = cross_validate_actions(data, PipelineConfig(reduction=reduction, classifier=classifier))
+            except (DataError, NumericalError) as exc:
+                assert re.search(fix, str(exc)), (reduction, classifier, exc)
+                continue
+            assert 0.0 <= result.accuracy <= 1.0

@@ -16,7 +16,9 @@ from sklpdm import (
     confusion,
     cross_validate_actions,
     gen_gaussian_classes,
+    gen_ring_classes,
     knn_predict,
+    leave_one_group_out,
     pca_fit,
     project,
     svm_fit,
@@ -62,7 +64,7 @@ class TestKnn:
             knn_predict((np.zeros((1, 2)), np.array([0, 1])), np.zeros((1, 1)), KnnConfig(k=3))
 
     @pytest.mark.parametrize(
-        "make, field", [(lambda v: KnnConfig(k=v), "k"), (lambda v: SvmConfig(epochs=v), "epochs")]
+        "make, field", [(lambda v: KnnConfig(k=v), "k")]
     )
     def test_counts_must_be_positive_integers(self, make, field):
         for value in (1.5, "3", 0):
@@ -94,20 +96,20 @@ class TestSvm:
 
     def test_separable_training_accuracy(self):
         X, y = self.separable()
-        model = svm_fit((X, y), SvmConfig(regularization=1e-3, epochs=100))
+        model = svm_fit((X, y), SvmConfig(regularization=1e-3))
         predicted = svm_predict(model, X)
         assert (predicted == y).mean() == 1.0
 
     def test_flipped_labels_complement_predictions(self):
         X, y = self.separable(seed=2)
-        config = SvmConfig(regularization=1e-3, epochs=60)
+        config = SvmConfig(regularization=1e-3)
         forward = svm_predict(svm_fit((X, y), config), X)
         backward = svm_predict(svm_fit((X, 1 - y), config), X)
         np.testing.assert_array_equal(forward, 1 - backward)
 
     def test_seed_determinism(self):
         X, y = self.separable(seed=3)
-        config = SvmConfig(regularization=1e-2, epochs=40)
+        config = SvmConfig(regularization=1e-2)
         a = svm_fit((X, y), config)
         b = svm_fit((X, y), config)
         assert np.array_equal(a.weights, b.weights)
@@ -118,10 +120,37 @@ class TestSvm:
         X = rng.standard_normal((3, 30))
         y = rng.integers(0, 3, 30)
         y[:3] = [0, 1, 2]
-        model = svm_fit((X, y), SvmConfig(epochs=50))
+        model = svm_fit((X, y), SvmConfig())
         for history in model.objective_histories:
             values = list(history)
             assert all(values[i + 1] <= values[i] for i in range(len(values) - 1))
+
+    @staticmethod
+    def pca_folds():
+        """(train embedding, train labels, test embedding) of each fold of the 4-group rings that
+        compare_outputs' `cv pca svm` case evaluates; their SVM confusions sit at chance level."""
+        data = with_groups(gen_ring_classes(4, 48, 0.5, 30, 7), 4)
+        for train_idx, test_idx in leave_one_group_out(data):
+            train = LabeledDataset(data.features[:, train_idx], data.labels[train_idx], 4)
+            model = pca_fit(train, "auto")
+            yield project(model, train.features), train.labels, project(model, data.features[:, test_idx])
+
+    def test_predictions_ignore_rounding_noise(self):
+        """Moving every input entry by at most 2 ulps changes no prediction: the fit reaches its optimum."""
+        rng = np.random.default_rng(0)
+        flips = 0
+        for train_X, train_y, test_X in self.pca_folds():
+            reference = svm_predict(svm_fit((train_X, train_y)), test_X)
+            for _ in range(20):
+                noisy_train, noisy_test = (X + rng.integers(-2, 3, X.shape) * np.spacing(X) for X in (train_X, test_X))
+                flips += int(np.sum(svm_predict(svm_fit((noisy_train, train_y)), noisy_test) != reference))
+        assert flips == 0
+
+    @pytest.mark.parametrize("factor", [1e-3, 180.0])
+    def test_predictions_ignore_the_feature_scale(self, factor):
+        for train_X, train_y, test_X in self.pca_folds():
+            scaled = svm_predict(svm_fit((factor * train_X, train_y)), factor * test_X)
+            np.testing.assert_array_equal(scaled, svm_predict(svm_fit((train_X, train_y)), test_X))
 
     def test_model_owns_read_only_copies(self):
         model = svm_fit((np.array([[-1.0, 1.0]]), np.array([0, 1])), SvmConfig())
@@ -277,7 +306,7 @@ class TestCrossValidate:
     def test_svm_classifier_path(self):
         data = self.separable_grouped(seed=3)
         pipeline = PipelineConfig(
-            reduction="pca", classifier="svm", svm=SvmConfig(epochs=80)
+            reduction="pca", classifier="svm", svm=SvmConfig()
         )
         result = cross_validate_actions(data, pipeline)
         assert result.accuracy >= 0.9
@@ -332,7 +361,7 @@ class TestCrossValidate:
         for reduction in ("pca", "lda", "dm", "sklp+dm"):
             for classifier in ("knn", "svm"):
                 pipeline = PipelineConfig(reduction=reduction, classifier=classifier, sklp=sklp,
-                                          svm=SvmConfig(epochs=5))
+                                          svm=SvmConfig())
                 echo = cross_validate_actions(data, pipeline).pipeline
                 expected = {"reduction": reduction, "classifier": classifier,
                             classifier: dataclasses.asdict(getattr(pipeline, classifier))}

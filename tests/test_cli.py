@@ -183,7 +183,6 @@ class TestSynthAndFit:
         assert not out.exists()
         assert not (tmp_path / "out.manifest.json").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale, command, message", [
         (1e155, ["diffuse"], "median distance inf has sigma^2 outside [2.2e-308, inf): rescale the features"),
         (1e155, ["fit", "sklp"], "covariance is not finite: rescale the features to a smaller magnitude"),
@@ -204,16 +203,16 @@ class TestSynthAndFit:
         assert not out.exists()
 
     def test_overflowing_fit_warns_nothing_before_its_message(self, tmp_path, capsys, gaussian_csv):
-        """The scatter sums that overflow at x1e155 are reported by the fit's own message alone."""
+        """The sums that overflow at x1e155 are reported by the command's own message alone."""
         data = load_csv(gaussian_csv)
         scaled = tmp_path / "scaled.csv"
         save_csv(dataclasses.replace(data, features=data.features * 1e155), scaled)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for kind in ("pca", "lda", "sklp"):
-                assert invoke("fit", kind, "--data", str(scaled), "--out", str(tmp_path / "m.json")) == 3, kind
+            for command in (["fit", "pca"], ["fit", "lda"], ["fit", "sklp"], ["diffuse"]):
+                assert invoke(*command, "--data", str(scaled), "--out", str(tmp_path / "m.json")) == 3, command
                 err = capsys.readouterr().err
-                assert err.startswith("numerical failure: ") and "rescale the features" in err, kind
+                assert err.startswith("numerical failure: ") and "rescale the features" in err, command
 
     @pytest.mark.parametrize("files, argv, code, message", [
         ({"m.txt": ""}, ["radon", "--manifest", "{tmp}/m.txt"], 2, "{tmp}/m.txt: empty manifest"),
@@ -786,7 +785,7 @@ def test_diffusion_flag_defaults_match_config():
 
 def test_classifier_flag_defaults_match_config():
     knn_table = {"k": "k"}  # flag -> KnnConfig field
-    svm_table = {"reg": "regularization", "epochs": "epochs"}  # flag -> SvmConfig field
+    svm_table = {"reg": "regularization"}  # flag -> SvmConfig field
     assert sorted(knn_table.values()) == _field_names(KnnConfig)
     assert sorted(svm_table.values()) == _field_names(SvmConfig)
     knn = {flag: getattr(KnnConfig(), name) for flag, name in knn_table.items()}
@@ -825,6 +824,8 @@ def test_synth_flags_per_shape():
     ["evaluate", "dm", "svm", "--rho", "0.5"],
     ["evaluate", "sklp+dm", "knn", "--reg", "1"],
     ["evaluate", "pca", "svm", "--k", "3"],
+    ["classify", "svm", "--epochs", "200"],  # the SVM stops on its Newton decrement
+    ["evaluate", "pca", "svm", "--epochs", "200"],
 ])
 def test_flag_of_another_kind_is_a_usage_error(tmp_path, capsys, gaussian_csv, argv):
     out = tmp_path / "out"

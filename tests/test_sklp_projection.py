@@ -31,6 +31,7 @@ from sklpdm import (
 )
 from sklpdm.sklp_projection import (
     ProjectionModel,
+    _smallest_admissible_rho,
     _tile_rows,
     bandwidth,
     default_class_weights,
@@ -596,6 +597,30 @@ class TestFit:
         data = gen_ring_classes(4, 150, 0.4, 60, 0)
         with pytest.raises(NumericalError, match=r"iteration 1 with rho=0\.1: .*larger rho"):
             fit(data)
+
+    @pytest.mark.parametrize("make", [lambda seed: gen_ring_classes(4, 150, 0.4, 60, seed),
+                                      lambda seed: gen_gaussian_classes(3, 100, 20, 1.0, 4.0, seed)],
+                             ids=["rings", "gaussians"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_degenerate_scatter_names_the_smallest_rho_that_works(self, make, seed):
+        """At the default rho the first scatter has no positive eigenvalue. The message names the
+        smallest rho (to 4 decimals) that gives it one: 1e-4 less still fails there, and 1.05 times
+        it fits to the end."""
+        data = make(seed)
+        with pytest.raises(NumericalError, match=r"iteration 1 with rho=0\.1: .*rho >= (0\.\d+) gives") as failure:
+            fit(data)
+        rho = float(re.search(r"rho >= (0\.\d+)", str(failure.value)).group(1))
+        with pytest.raises(NumericalError, match=r"iteration 1 with rho="):
+            fit(data, SklpConfig(rho=rho - 1e-4))
+        model, state = fit(data, SklpConfig(rho=1.05 * rho))
+        assert state.iteration > 1 and np.all(model.eigenvalues > 0)
+
+    def test_no_rho_is_named_when_even_the_inter_class_scatter_is_below_the_floor(self):
+        data = gen_gaussian_classes(3, 2, 20, 1.0, 4.0, seed=0)
+        state = init_state(data, SklpConfig())
+        tiny = class_moments(1e-8 * data.features, data.labels, data.class_count)
+        assert _smallest_admissible_rho(class_moments(data.features, data.labels, data.class_count), state, 0.1)
+        assert _smallest_admissible_rho(tiny, state, 0.1) is None
 
     def test_single_iteration_contract(self):
         data = gen_gaussian_classes(3, 15, 6, 1.0, 8.0, seed=4)

@@ -80,7 +80,7 @@ def test_every_traced_layer_records_calls(tmp_path):
         sklpdm.dataset.save_csv(data, tmp_path / "d.csv")
         loaded = sklpdm.dataset.load_csv(tmp_path / "d.csv")
         sklpdm.classify_eval.cross_validate_actions(loaded, pipeline)
-        sklpdm.classify_eval.svm_fit((loaded.features, loaded.labels), sklpdm.SvmConfig(epochs=2))
+        sklpdm.classify_eval.svm_fit((loaded.features, loaded.labels), sklpdm.SvmConfig())
         model = sklpdm.diffusion_map.fit(loaded.features, pipeline.diffusion)
         sklpdm.diffusion_map.save_model_json(model, tmp_path / "dm.json")
     finally:
