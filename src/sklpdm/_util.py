@@ -1,9 +1,11 @@
-"""Small shared helpers (atomic file writes, the numeric-row CSV writer, positive integer checks)."""
+"""Small shared helpers: atomic file writes, the numeric-row CSV writer, input checks and read-only field copies."""
 
 import csv
 import io
 import os
 import stat
+
+import numpy as np
 
 from .errors import DataError
 
@@ -72,3 +74,23 @@ def positive_int(value, name):
     except (TypeError, ValueError, OverflowError):
         pass
     raise DataError(f"{name} must be a positive integer, got {value!r}")
+
+
+def own(obj, name, dtype=np.float64, order="K"):
+    """Set the frozen field `name` of `obj` to a private, read-only `dtype` copy of its value (None stays None)."""
+    value = getattr(obj, name)
+    if value is not None:
+        value = np.array(value, dtype=dtype, order=order)
+        value.flags.writeable = False
+    object.__setattr__(obj, name, value)
+    return value
+
+
+def samples(values, name, rows=None):
+    """`values` as a float matrix with one sample per column; DataError unless it is 2-D (with `rows` rows if given)."""
+    matrix = np.asarray(values, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise DataError(f"{name} must be a 2-D matrix (columns are samples), got shape {matrix.shape}")
+    if rows is not None and matrix.shape[0] != rows:
+        raise DataError(f"{name} must have {rows} feature rows, got shape {matrix.shape}")
+    return matrix

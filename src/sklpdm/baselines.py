@@ -38,13 +38,14 @@ def lda_fit(dataset: LabeledDataset, target_dim="auto") -> ProjectionModel:
     """The top eigenvectors u of the whitened between-class scatter, applied to the raw features.
 
     u are eigenvectors of G^(-1/2) S_b G^(-1/2) with G = S_w + gamma I and
-    gamma = 1e-6 * trace(S_w) / D (floored when the within-scatter
-    vanishes, e.g. single-sample classes). Their eigenvalues are the
-    generalized discriminant values of (S_b, G), and the columns are
-    orthonormal, but they are not Fisher's directions G^(-1/2) u: the two
-    span the same subspace only when S_w is proportional to I. d is
-    resolved from target_dim as SKLP resolves it (output_dim), then capped
-    at K - 1.
+    gamma = 1e-6 * max(trace(S_w), 1e-6 * trace(S_b)) / D, so the ridge
+    scales with the features even where S_w vanishes (class-constant
+    samples); gamma is 1 only when every sample is equal. Their
+    eigenvalues are the generalized discriminant values of (S_b, G), and
+    the columns are orthonormal, but they are not Fisher's directions
+    G^(-1/2) u: the two span the same subspace only when S_w is
+    proportional to I. d is resolved from target_dim as SKLP resolves it
+    (output_dim), then capped at K - 1.
     """
     X = dataset.features
     labels = dataset.labels
@@ -64,11 +65,8 @@ def lda_fit(dataset: LabeledDataset, target_dim="auto") -> ProjectionModel:
             S_w += centered @ centered.T
             delta = mu_k - overall_mean
             S_b += members.shape[1] * np.outer(delta, delta)
-        gamma = 1e-6 * float(np.trace(S_w)) / D
-        if gamma <= 0:
-            # within-scatter is zero (e.g. singleton classes); fall back to an
-            # absolute ridge so the pencil stays definite
-            gamma = 1e-6 * max(float(np.trace(S_b)) / D, 1.0)
+        # relative to S_b where S_w is at its rounding level, so the ridge scales with the features
+        gamma = 1e-6 * max(float(np.trace(S_w)), 1e-6 * float(np.trace(S_b))) / D or 1.0
         G = S_w + gamma * np.eye(D)
     if not (np.isfinite(G).all() and np.isfinite(S_b).all()):
         raise NumericalError("the class scatter is not finite: rescale the features to a smaller magnitude")

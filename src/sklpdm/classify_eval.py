@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import LabeledDataset, leave_one_group_out
 from .errors import DataError
-from ._util import positive_int
+from ._util import own, positive_int, samples
 from . import baselines
 from . import diffusion_map
 from . import sklp_projection
@@ -54,10 +54,8 @@ class SvmModel:
     objective_histories: tuple = ()
 
     def __post_init__(self):
-        for name in ("weights", "biases"):
-            array = np.array(getattr(self, name), dtype=np.float64)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        own(self, "weights")
+        own(self, "biases")
 
 
 @dataclass(frozen=True)
@@ -68,15 +66,13 @@ class ConfusionMatrix:
     class_names: tuple
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
+        counts = own(self, "counts", np.int64)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise DataError("confusion counts must be square")
         if np.any(counts < 0):
             raise DataError("confusion counts must be nonnegative")
         if len(self.class_names) != counts.shape[0]:
             raise DataError("class_names length must match matrix size")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "class_names", tuple(str(n) for n in self.class_names))
 
     @property
@@ -103,17 +99,9 @@ def _majority(labels):
     return Counter(labels).most_common(1)[0][0]
 
 
-def _samples(values, name):
-    """`values` as a float matrix with one sample per column; DataError unless it is 2-D."""
-    matrix = np.asarray(values, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise DataError(f"{name} must be a 2-D matrix (columns are samples), got shape {matrix.shape}")
-    return matrix
-
-
 def _training_set(train):
     """(X, y) of a (features, labels) pair: a D x n float matrix and n integer labels, else DataError."""
-    X = _samples(train[0], "training features")
+    X = samples(train[0], "training features")
     y = np.asarray(train[1], dtype=np.int64)
     if y.shape != (X.shape[1],):
         raise DataError(f"{y.size} training labels for {X.shape[1]} training columns")
@@ -125,14 +113,12 @@ def knn_predict(train, test, config: KnnConfig | None = None):
     if config is None:
         config = KnnConfig()
     train_X, train_y = _training_set(train)
-    test_X = _samples(test, "test features")
+    test_X = samples(test, "test features", train_X.shape[0])
     n_train = train_X.shape[1]
     if n_train == 0:
         raise DataError("empty training set")
     if config.k > n_train:
         raise DataError(f"k={config.k} exceeds training size {n_train}")
-    if test_X.shape[0] != train_X.shape[0]:
-        raise DataError("train and test dimensionality differ")
 
     sq = sklp_projection.pairwise_sq_distances(test_X, train_X)
     order = np.argsort(sq, axis=1, kind="stable")  # distance ties -> lower train index
@@ -191,8 +177,9 @@ def svm_fit(train, config: SvmConfig | None = None) -> SvmModel:
 
     Features are standardised with the training mean and standard deviation,
     and the standardisation is folded back into the weights and biases. A
-    constant feature, or one whose deviations square below the smallest
-    float, gets scale 1. Training consumes no randomness.
+    constant feature gets scale 1, and each deviation is divided by its
+    feature's largest before squaring, so no square underflows or
+    overflows. Training consumes no randomness.
     """
     if config is None:
         config = SvmConfig()
@@ -201,9 +188,12 @@ def svm_fit(train, config: SvmConfig | None = None) -> SvmModel:
         raise DataError("svm_fit needs at least 2 classes")
     if y.min() < 0:
         raise DataError("svm_fit needs labels >= 0")
-    mean, std = X.mean(axis=1), X.std(axis=1)
-    scale = np.where((np.ptp(X, axis=1) > 0.0) & (std > 0.0), std, 1.0)
-    Z = np.vstack([(X - mean[:, None]) / scale[:, None], np.ones(len(y))])
+    mean = X.mean(axis=1)
+    centred = X - mean[:, None]
+    varies = np.ptp(X, axis=1) > 0.0
+    peak = np.where(varies, np.abs(centred).max(axis=1), 1.0)
+    scale = np.where(varies, peak * np.sqrt(np.mean((centred / peak[:, None]) ** 2, axis=1)), 1.0)
+    Z = np.vstack([centred / scale[:, None], np.ones(len(y))])
     fits = [_fit_binary_svm(Z, np.where(y == k, 1.0, -1.0), config.regularization) for k in range(y.max() + 1)]
     weights = np.array([v[:-1] for v, _ in fits]) / scale
     return SvmModel(weights=weights, biases=np.array([v[-1] for v, _ in fits]) - weights @ mean,
@@ -212,9 +202,7 @@ def svm_fit(train, config: SvmConfig | None = None) -> SvmModel:
 
 def svm_predict(model: SvmModel, test):
     """Argmax of per-class scores; ties resolve to the lowest class id."""
-    test_X = _samples(test, "test features")
-    if test_X.shape[0] != model.weights.shape[1]:
-        raise DataError("test dimensionality does not match the fitted model")
+    test_X = samples(test, "test features", model.weights.shape[1])
     scores = model.weights @ test_X + model.biases[:, None]
     return np.argmax(scores, axis=0)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from ._util import save_float_rows_csv
+from ._util import own, save_float_rows_csv
 
 
 def _dense_ids(values):
@@ -44,10 +44,8 @@ class LabeledDataset:
     group_names: tuple | None = None
 
     def __post_init__(self):
-        # own private copies so freezing them cannot alias caller arrays; C order
-        # keeps each feature row contiguous for the distance kernel
-        features = np.array(self.features, dtype=np.float64, order="C")
-        labels = np.array(self.labels, dtype=np.int64)
+        features = own(self, "features", order="C")  # each feature row contiguous for the distance kernel
+        labels = own(self, "labels", np.int64)
         if features.ndim != 2:
             raise DataError("features must be a 2-D matrix (columns are samples)")
         if features.shape[0] < 1:
@@ -69,10 +67,9 @@ class LabeledDataset:
         names = self.label_names or tuple(f"c{k}" for k in range(self.class_count))
         if len(names) != self.class_count:
             raise DataError("label_names length must equal class_count")
-        groups = self.groups
         group_names = self.group_names
+        groups = own(self, "groups", np.int64)
         if groups is not None:
-            groups = np.array(groups, dtype=np.int64)
             if groups.shape != (features.shape[1],):
                 raise DataError("group count does not match sample count")
             if groups.min() < 0:
@@ -83,14 +80,7 @@ class LabeledDataset:
                 raise DataError(f"group ids must lie in [0, {len(group_names)}), one per group name")
         elif group_names is not None:
             raise DataError("group_names given without groups")
-        features.flags.writeable = False
-        labels.flags.writeable = False
-        if groups is not None:
-            groups.flags.writeable = False
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "label_names", tuple(str(n) for n in names))
-        object.__setattr__(self, "groups", groups)
         object.__setattr__(
             self, "group_names", tuple(str(n) for n in group_names) if group_names else None
         )

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .sklp_projection import (
     bandwidth as _bandwidth, gaussian_kernel, pairwise_sq_distances, _fix_signs, _sorted_eigh)
-from ._util import atomic_write_text, positive_int, save_float_rows_csv
+from ._util import atomic_write_text, own, positive_int, samples, save_float_rows_csv
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,7 @@ class DiffusionModel:
 
     def __post_init__(self):
         for name in ("train_points", "eigenvalues", "eigenvectors", "embedding"):
-            array = np.array(getattr(self, name), dtype=np.float64)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+            own(self, name)
         if abs(self.eigenvalues[0] - 1.0) > 1e-8:
             raise NumericalError("leading transition eigenvalue must be 1")
         if np.any(np.abs(self.eigenvalues) > 1.0 + 1e-8):
@@ -145,9 +143,7 @@ def _kept_pairs(S, top, kept):
 
 def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:
     """Fit the diffusion embedding on columns of Xhat."""
-    X = np.asarray(Xhat, dtype=np.float64)
-    if X.ndim != 2:
-        raise DataError("Xhat must be a 2-D matrix (columns are samples)")
+    X = samples(Xhat, "Xhat")
     n = X.shape[1]
     kept = config.embed_dim + 1  # the trivial pair, then the retained ones
     if n < kept:
@@ -187,11 +183,7 @@ def extend(model: DiffusionModel, Xnew):
     point's normalized affinity row to the training points. A new point
     equal to a training point reproduces that training embedding row.
     """
-    Xnew = np.asarray(Xnew, dtype=np.float64)
-    if Xnew.ndim != 2 or Xnew.shape[0] != model.train_points.shape[0]:
-        raise DataError(
-            f"expected {model.train_points.shape[0]} feature rows, got {Xnew.shape}"
-        )
+    Xnew = samples(Xnew, "Xnew", model.train_points.shape[0])
     probs = pairwise_sq_distances(Xnew, model.train_points)
     sums = gaussian_kernel(probs, model.bandwidth, probs).sum(axis=1, keepdims=True)
     unreached = np.count_nonzero(sums == 0)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from ._util import positive_int
+from ._util import own, positive_int
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,11 @@ class SilhouetteImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        pixels = np.array(self.pixels, dtype=np.uint8)
+        pixels = own(self, "pixels", np.uint8)
         if pixels.ndim != 2 or pixels.size == 0:
             raise DataError("pixels must be a nonempty 2-D grid")
         if np.any(pixels > 1):
             raise DataError("pixels must be binary (0/1)")
-        pixels.flags.writeable = False
-        object.__setattr__(self, "pixels", pixels)
 
 
 # one header token, after any whitespace and '#' comments (a comment runs to the next CR or LF)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import DataError, NumericalError
-from ._util import atomic_write_text, positive_int
+from ._util import atomic_write_text, own, positive_int, samples
 
 MODEL_KINDS = ("sklp", "pca", "lda")
 
@@ -96,18 +96,14 @@ class ProjectionModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise DataError(f"unknown model kind {self.kind!r}")
-        matrix = np.array(self.matrix, dtype=np.float64)
-        eigenvalues = np.array(self.eigenvalues, dtype=np.float64)
+        matrix, eigenvalues = own(self, "matrix"), own(self, "eigenvalues")
         if matrix.shape != (self.dim_in, self.dim_out):
             raise DataError("matrix shape does not match dim_in x dim_out")
         if eigenvalues.shape != (self.dim_out,):
             raise DataError("eigenvalues length must equal dim_out")
-        mean = self.mean
-        if mean is not None:
-            mean = np.array(mean, dtype=np.float64)
-            if mean.shape != (self.dim_in,):
-                raise DataError("mean length must equal dim_in")
-            mean.flags.writeable = False
+        mean = own(self, "mean")
+        if mean is not None and mean.shape != (self.dim_in,):
+            raise DataError("mean length must equal dim_in")
         if not all(np.isfinite(a).all() for a in (matrix, eigenvalues, mean) if a is not None):
             raise DataError("matrix, eigenvalues and mean must be finite")
         gram = matrix.T @ matrix
@@ -117,11 +113,6 @@ class ProjectionModel:
             raise NumericalError("eigenvalues must be sorted descending")
         if self.kind == "sklp" and np.any(eigenvalues <= 0):
             raise NumericalError("sklp retains only positive eigenvalues")
-        matrix.flags.writeable = False
-        eigenvalues.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "mean", mean)
 
 
 @dataclass
@@ -563,9 +554,7 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
 
 def project(model: ProjectionModel, X):
     """Apply the fitted map: P^T X, after mean subtraction when the model stores one."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != model.dim_in:
-        raise DataError(f"expected {model.dim_in} feature rows, got {X.shape}")
+    X = samples(X, "X", model.dim_in)
     if model.mean is not None:
         X = X - model.mean[:, None]
     return model.matrix.T @ X

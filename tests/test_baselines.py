@@ -114,6 +114,21 @@ class TestLda:
         with pytest.raises(NumericalError, match="no direction separates the class means: they coincide"):
             lda_fit(data, 1)
 
+    @pytest.mark.parametrize("features, labels", [
+        ([[0.0, 0.0, 3.0, 3.0, -1.0, -1.0], [1.0, 1.0, 0.0, 0.0, 2.0, 2.0]], [0, 0, 1, 1, 2, 2]),
+        ([[0.1, 0.1, 0.1, 0.7, 0.7, 0.7]], [0, 0, 0, 1, 1, 1]),  # the class means round: S_w holds only rounding
+    ], ids=["class-constant", "rounded-means"])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-9, 1e150])
+    def test_ridge_scales_with_the_features_where_within_scatter_vanishes(self, features, labels, scale):
+        X = np.array(features)
+        reference = lda_fit(LabeledDataset(X, labels, max(labels) + 1)).eigenvalues
+        scaled = lda_fit(LabeledDataset(scale * X, labels, max(labels) + 1)).eigenvalues
+        np.testing.assert_allclose(scaled, reference, rtol=1e-9)
+
+    def test_equal_samples_separate_nothing(self):
+        with pytest.raises(NumericalError, match="no direction separates the class means"):
+            lda_fit(LabeledDataset(np.full((2, 4), 0.3), [0, 0, 1, 1], 2))
+
     def test_d_capped_at_k_minus_one(self):
         data = gen_gaussian_classes(3, 10, 5, 1.0, 5.0, seed=1)
         model = lda_fit(data, 3)
@@ -172,6 +187,15 @@ class TestLda:
         m1 = lda_fit(data, 2)
         m2 = lda_fit(data, 2)
         assert np.array_equal(m1.matrix, m2.matrix)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pca_fit(unlabeled(np.ones((3, 1)))), "pca_fit needs at least 2 samples"),
+    (lambda: lda_fit(unlabeled(np.arange(6.0).reshape(2, 3))), "lda_fit needs at least 2 classes"),
+], ids=["pca-one-sample", "lda-one-class"])
+def test_baseline_needs_two_samples_or_classes(call, message):
+    with pytest.raises(DataError, match=message):
+        call()
 
 
 class TestApplyModel:

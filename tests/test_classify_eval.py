@@ -146,26 +146,11 @@ class TestSvm:
                 flips += int(np.sum(svm_predict(svm_fit((noisy_train, train_y)), noisy_test) != reference))
         assert flips == 0
 
-    @pytest.mark.parametrize("factor", [1e-3, 180.0])
+    @pytest.mark.parametrize("factor", [1e-3, 180.0, 1e-300, 1e300])
     def test_predictions_ignore_the_feature_scale(self, factor):
         for train_X, train_y, test_X in self.pca_folds():
             scaled = svm_predict(svm_fit((factor * train_X, train_y)), factor * test_X)
             np.testing.assert_array_equal(scaled, svm_predict(svm_fit((train_X, train_y)), test_X))
-
-    def test_model_owns_read_only_copies(self):
-        model = svm_fit((np.array([[-1.0, 1.0]]), np.array([0, 1])), SvmConfig())
-        weights, biases = model.weights.copy(), model.biases.copy()
-        before = svm_predict(model, np.array([[3.0, -3.0]]))
-        with pytest.raises(ValueError, match="read-only"):
-            model.weights[0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            model.biases[0] = 0.0
-        built = model.__class__(weights=weights, biases=biases)
-        weights[:] = 0.0
-        biases[:] = 0.0
-        np.testing.assert_array_equal(built.weights, model.weights)
-        np.testing.assert_array_equal(built.biases, model.biases)
-        np.testing.assert_array_equal(svm_predict(built, np.array([[3.0, -3.0]])), before)
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
@@ -249,6 +234,19 @@ class TestConfusion:
         pred = rng.integers(0, 3, 40)
         matrix = confusion(true, pred, 3)
         np.testing.assert_array_equal(matrix.counts.sum(axis=1), np.bincount(true, minlength=3))
+
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: confusion([0, 1], [0], 2), "true and predicted label lengths differ"),
+        (lambda: confusion([0, 2], [0, 1], 2), r"labels must lie in \[0, 2\)"),
+        (lambda: ConfusionMatrix([[1, 2]], ("a",)), "confusion counts must be square"),
+        (lambda: ConfusionMatrix([1, 2], ("a", "b")), "confusion counts must be square"),
+        (lambda: ConfusionMatrix([[1, -1], [0, 1]], ("a", "b")), "confusion counts must be nonnegative"),
+        (lambda: ConfusionMatrix(np.eye(2, dtype=int), ("a",)), "class_names length must match matrix size"),
+    ], ids=["lengths", "label-range", "not-square", "one-dimensional", "negative", "names-length"])
+    def test_malformed_tally_rejected(self, call, message):
+        with pytest.raises(DataError, match=message):
+            call()
 
 
 class TestAccuracy:

@@ -281,11 +281,24 @@ class TestSaveCsv:
         ([-1, 0, 0], None, r"group ids must be >= 0"),
         ([0, 1, 2], ("a", "b"), r"group ids must lie in \[0, 2\), one per group name"),
         (None, ("a",), r"group_names given without groups"),
+        ([0, 1], None, r"group count does not match sample count"),
     ])
     def test_group_ids_must_name_their_groups(self, groups, group_names, message):
         """Ids that save_csv could not write back as distinct names are rejected up front."""
         with pytest.raises(DataError, match=message):
             LabeledDataset(np.ones((1, 3)), [0, 1, 1], 2, groups=groups, group_names=group_names)
+
+    @pytest.mark.parametrize("features, labels, names, message", [
+        (np.ones(3), [0, 1, 1], (), r"features must be a 2-D matrix \(columns are samples\)"),
+        (np.ones((1, 0)), [], (), r"dataset needs at least one sample"),
+        ([[1.0, np.inf, 0.0]], [0, 1, 1], (), r"all feature entries must be finite"),
+        (np.ones((1, 3)), [0, 1], (), r"label count \(2,\) does not match sample count 3"),
+        (np.ones((1, 3)), [0, 1, 2], (), r"labels must lie in \[0, 2\)"),
+        (np.ones((1, 3)), [0, 1, 1], ("a",), r"label_names length must equal class_count"),
+    ], ids=["1d-features", "no-samples", "infinite-entry", "label-count", "label-range", "label-names-length"])
+    def test_malformed_dataset_rejected(self, features, labels, names, message):
+        with pytest.raises(DataError, match=message):
+            LabeledDataset(features, labels, 2, label_names=names)
 
     def test_every_class_must_occur(self):
         with pytest.raises(DataError, match=r"every class id in \[0, K\) must occur at least once"):
@@ -295,6 +308,13 @@ class TestSaveCsv:
         data = LabeledDataset(features=np.ones((1, 1)), labels=[0], class_count=1)
         with pytest.raises(DataError):
             save_csv(data, tmp_path / "missing-dir" / "x.csv")
+
+    def test_writing_onto_a_directory_leaves_no_temp_file(self, tmp_path):
+        data = LabeledDataset(features=np.ones((1, 1)), labels=[0], class_count=1)
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(DataError, match="cannot write .*taken"):
+            save_csv(data, tmp_path / "taken")
+        assert [path.name for path in tmp_path.rglob("*")] == ["taken"]
 
 
 class TestGaussianGenerator:

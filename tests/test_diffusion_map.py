@@ -141,17 +141,6 @@ class TestFit:
         np.testing.assert_array_equal(payload["eigenvectors"], model.eigenvectors)
         np.testing.assert_array_equal(payload["train_points"], model.train_points)
 
-    def test_fitted_arrays_are_read_only(self):
-        X = np.random.default_rng(5).standard_normal((4, 12))
-        model = diffusion_map.fit(X, DiffusionConfig(embed_dim=2))
-        held = X[:, :3] + 0.1
-        before = diffusion_map.extend(model, held)
-        for name in ("train_points", "eigenvalues", "eigenvectors", "embedding"):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(model, name)[0] = 0.0
-        X[:] = 0.0  # the caller's input stays writable, and the model does not share it
-        np.testing.assert_array_equal(diffusion_map.extend(model, held), before)
-
     @pytest.mark.parametrize("field", ["embed_dim", "time"])
     @pytest.mark.parametrize("value", [2.7, 1.9, "2", 0])
     def test_settings_must_be_positive_integers(self, field, value):

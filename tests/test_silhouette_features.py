@@ -107,6 +107,8 @@ class TestLoadPgm:
         (b"P2 2#c", "malformed PGM header (truncated at byte 6)"),
         (b"# only\r\n", "malformed PGM header (truncated at byte 8)"),
         (b"P2#c\n1 1 +255 x", "malformed P2 payload: non-numeric pixel value"),
+        (b"P5 3 0 255\n", "malformed PGM header: bad dimensions 3x0"),
+        (b"P2 -2 1 1 1 1", "malformed PGM header: bad dimensions -2x1"),
     ])
     def test_header_errors(self, tmp_path, data, message):
         path = tmp_path / "h.pgm"

@@ -817,6 +817,22 @@ class TestSerialization:
         path.write_text(json.dumps({**payload, field: float(payload[field])}))
         assert getattr(load_model(path), field) == payload[field]
 
+    @pytest.mark.parametrize("change, error, message", [
+        ({"kind": "ica"}, DataError, "malformed model file: unknown model kind 'ica'"),
+        ({"dim_in": 3}, DataError, "malformed model file: matrix shape does not match dim_in x dim_out"),
+        ({"eigenvalues": [2.0, 1.0]}, DataError, "malformed model file: eigenvalues length must equal dim_out"),
+        ({"dim_out": 2, "matrix": [[1.0, 0.0], [0.0, 1.0]], "eigenvalues": [1.0, 2.0]}, NumericalError,
+         "eigenvalues must be sorted descending"),
+        ({"kind": "sklp", "eigenvalues": [0.0]}, NumericalError, "sklp retains only positive eigenvalues"),
+    ], ids=["unknown-kind", "matrix-shape", "eigenvalue-count", "unsorted-eigenvalues", "sklp-zero-eigenvalue"])
+    def test_inconsistent_model_file_rejected(self, tmp_path, change, error, message):
+        payload = {"kind": "pca", "dim_in": 2, "dim_out": 1, "matrix": [[1.0], [0.0]], "eigenvalues": [1.0]}
+        path = tmp_path / "odd-model.json"
+        path.write_text(json.dumps({**payload, **change}))
+        with pytest.raises(error) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("field", ["matrix", "eigenvalues", "mean"])
     def test_non_finite_entries_rejected(self, field):
         parts = {"matrix": np.eye(2)[:, :1], "eigenvalues": np.array([1.0]), "mean": np.zeros(2)}

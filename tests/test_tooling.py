@@ -166,6 +166,8 @@ def test_compare_outputs_accepts_a_tree_against_itself():
                      output, re.M), output
     assert re.search(r"^ok +diffusion flat spectrum n=300: .*\(solve dense after 30 sweeps / dense after 30 sweeps\)$",
                      output, re.M), output
+    lines = sum(path.read_bytes().count(b"\n") for path in (src / "sklpdm").glob("*.py"))
+    assert f"\nsklpdm/*.py lines: {lines} -> {lines} (+0)\n" in output, output
 
 
 def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):

@@ -25,10 +25,14 @@ if any case breaches the contract that the README states under
   - read paths and the process chain: every value, and every byte the
     chain wrote, bit for bit (manifests without `duration_s`);
   - cross-validation: equal confusion counts and fold accuracies.
+
+It also prints the line count of each tree's `sklpdm/*.py` (as `wc -l`
+counts them) and the difference.
 """
 
 import argparse
 import functools
+import glob
 import json
 import os
 import subprocess
@@ -309,6 +313,15 @@ def run_tree(src):
     return records
 
 
+def line_count(src):
+    """The number of lines in the tree's `sklpdm/*.py`, as `wc -l` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "sklpdm", "*.py")):
+        with open(path, "rb") as handle:
+            total += handle.read().count(b"\n")
+    return total
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", nargs="?")
@@ -328,6 +341,8 @@ def main(argv=None):
         breaches += not ok
         print(f"{'ok    ' if ok else 'BREACH'} {name}: {summary}")
     print(f"{len(names) - breaches}/{len(names)} cases within the contract")
+    old_lines, new_lines = line_count(args.old_src), line_count(args.new_src)
+    print(f"sklpdm/*.py lines: {old_lines} -> {new_lines} ({new_lines - old_lines:+d})")
     return 1 if breaches else 0
 
 
