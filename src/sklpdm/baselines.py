@@ -73,7 +73,7 @@ def lda_fit(dataset: LabeledDataset, target_dim="auto") -> ProjectionModel:
     g_values, g_vectors = np.linalg.eigh(G)
     if np.any(g_values <= 0):
         raise NumericalError("within-class scatter singular even after regularization")
-    whiten = g_vectors @ np.diag(1.0 / np.sqrt(g_values)) @ g_vectors.T
+    whiten = (g_vectors * (1.0 / np.sqrt(g_values))) @ g_vectors.T
     discriminant = whiten @ S_b @ whiten
     discriminant = (discriminant + discriminant.T) / 2.0
     try:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import LabeledDataset, leave_one_group_out
-from .errors import DataError
+from .errors import DataError, NumericalError
 from ._util import own, positive_int, samples
 from . import baselines
 from . import diffusion_map
@@ -54,8 +54,8 @@ class SvmModel:
     objective_histories: tuple = ()
 
     def __post_init__(self):
-        own(self, "weights")
-        own(self, "biases")
+        if not (np.isfinite(own(self, "weights")).all() and np.isfinite(own(self, "biases")).all()):
+            raise NumericalError("the SVM weights are not finite: rescale the features to a larger magnitude")
 
 
 @dataclass(frozen=True)
@@ -195,9 +195,10 @@ def svm_fit(train, config: SvmConfig | None = None) -> SvmModel:
     scale = np.where(varies, peak * np.sqrt(np.mean((centred / peak[:, None]) ** 2, axis=1)), 1.0)
     Z = np.vstack([centred / scale[:, None], np.ones(len(y))])
     fits = [_fit_binary_svm(Z, np.where(y == k, 1.0, -1.0), config.regularization) for k in range(y.max() + 1)]
-    weights = np.array([v[:-1] for v, _ in fits]) / scale
-    return SvmModel(weights=weights, biases=np.array([v[-1] for v, _ in fits]) - weights @ mean,
-                    objective_histories=tuple(tuple(history) for _, history in fits))
+    with np.errstate(over="ignore", invalid="ignore"):  # subnormal features overflow the weights: SvmModel says so
+        weights = np.array([v[:-1] for v, _ in fits]) / scale
+        return SvmModel(weights=weights, biases=np.array([v[-1] for v, _ in fits]) - weights @ mean,
+                        objective_histories=tuple(tuple(history) for _, history in fits))
 
 
 def svm_predict(model: SvmModel, test):

@@ -90,25 +90,16 @@ _MAX_SWEEPS = 30  # then the dense solve: a flat spectrum's fit costs about 1.3x
 
 
 def _start_block(top, width):
-    """The deterministic n x width start block: top, then width - 1 columns of Roberts' R-sequence.
-
-    Column j >= 1 is frac(i * alpha_j) - 1/2 over rows i = 1..n, a Weyl
-    sequence with alpha_j = g^-j, where g > 1 solves g^width = g + 1.
-    Plain arithmetic, so no random generator is loaded.
-    """
-    g = 2.0
-    for _ in range(64):  # the fixed point g = (1 + g)^(1/width) attracts every g > 0
-        g = (1.0 + g) ** (1.0 / width)
-    block = np.empty((len(top), width))
+    """The n x width start block: top, then the DCT-II columns cos(pi (i + 1/2) j / n) over rows i, j = 1..width-1,
+    orthogonal to each other and to the constant, which the positive top is not, so the block has full rank."""
+    block = np.cos(np.pi / len(top) * np.outer(np.arange(len(top)) + 0.5, np.arange(width)))
     block[:, 0] = top
-    block[:, 1:] = np.outer(np.arange(1.0, len(top) + 1), g ** -np.arange(1.0, width)) % 1.0 - 0.5
     return block
 
 
 def _largest_residual(SV, V, values):
     """The largest column norm of SV - V diag(values)."""
-    R = SV - V * values
-    return float(np.sqrt(np.einsum("ij,ij->j", R, R).max()))
+    return float(np.linalg.norm(SV - V * values, axis=0).max())
 
 
 def _kept_pairs(S, top, kept):
@@ -129,16 +120,14 @@ def _kept_pairs(S, top, kept):
         Q, _ = np.linalg.qr(_start_block(top, width))
         for sweeps in range(1, _MAX_SWEEPS + 1):
             Z = S @ Q
-            theta, U = np.linalg.eigh(Q.T @ Z)  # ascending; reads one triangle
-            theta, U = theta[::-1][:kept], U[:, ::-1][:, :kept]
-            V = Q @ U
+            theta, U = _sorted_eigh(Q.T @ Z, kept)  # reads one triangle
+            theta, V = theta[:kept], Q @ U
             residual = _largest_residual(Z @ U, V, theta)
             if residual <= _RESIDUAL_TOL:
                 return theta, V, sweeps, residual, False
             Q, _ = np.linalg.qr(Z)
     values, vectors = _sorted_eigh(S, kept)
-    values = values[:kept]
-    return values, vectors, sweeps, _largest_residual(S @ vectors, vectors, values), True
+    return values[:kept], vectors, sweeps, _largest_residual(S @ vectors, vectors, values[:kept]), True
 
 
 def fit(Xhat, config: DiffusionConfig) -> DiffusionModel:

@@ -344,10 +344,9 @@ def _fix_signs(vectors):
 
 
 def _sorted_eigh(A, d):
-    """All eigenvalues of the symmetric A, descending, and the top-d eigenvectors, signs fixed."""
+    """All eigenvalues of the symmetric A, descending (ties in LAPACK's order, reversed), and the top-d eigenvectors."""
     values, vectors = np.linalg.eigh(A)
-    order = np.argsort(values)[::-1]
-    return values[order], _fix_signs(vectors[:, order[:d]])
+    return values[::-1], _fix_signs(vectors[:, ::-1][:, :d].copy())  # a view would keep all n vectors alive
 
 
 def covariance(X):

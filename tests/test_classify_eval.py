@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sklpdm import (
     DiffusionConfig,
     KnnConfig,
     LabeledDataset,
+    NumericalError,
     PipelineConfig,
     SklpConfig,
     SvmConfig,
@@ -151,6 +153,17 @@ class TestSvm:
         for train_X, train_y, test_X in self.pca_folds():
             scaled = svm_predict(svm_fit((factor * train_X, train_y)), factor * test_X)
             np.testing.assert_array_equal(scaled, svm_predict(svm_fit((train_X, train_y)), test_X))
+
+    def test_subnormal_features_raise_instead_of_overflowing(self):
+        """At x1e-307 the fit is scale-free; at x1e-310 the folded weights overflow, which raises, without a warning."""
+        data = gen_ring_classes(4, 40, 0.3, 20, 3)
+        expected = svm_predict(svm_fit((data.features, data.labels)), data.features)
+        tiny = 1e-307 * data.features
+        np.testing.assert_array_equal(svm_predict(svm_fit((tiny, data.labels)), tiny), expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="rescale the features to a larger magnitude"):
+                svm_fit((1e-310 * data.features, data.labels))
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):

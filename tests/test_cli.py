@@ -214,6 +214,20 @@ class TestSynthAndFit:
                 err = capsys.readouterr().err
                 assert err.startswith("numerical failure: ") and "rescale the features" in err, command
 
+    def test_subnormal_svm_exits_3_without_a_warning(self, tmp_path, capsys, gaussian_csv):
+        data = load_csv(gaussian_csv)
+        scaled = tmp_path / "scaled.csv"
+        save_csv(dataclasses.replace(data, features=data.features * 1e-310), scaled)
+        report = tmp_path / "report.txt"
+        argv = ["classify", "svm", "--train", str(scaled), "--test", str(scaled), "--report", str(report)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the SVM weights are not finite: rescale the features to a larger "
+                              "magnitude"), err
+        assert not report.exists()
+
     @pytest.mark.parametrize("files, argv, code, message", [
         ({"m.txt": ""}, ["radon", "--manifest", "{tmp}/m.txt"], 2, "{tmp}/m.txt: empty manifest"),
         ({"m.txt": "path,label\n\n"}, ["radon", "--manifest", "{tmp}/m.txt"], 2, "{tmp}/m.txt: no frames listed"),

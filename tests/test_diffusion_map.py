@@ -216,6 +216,30 @@ class TestSolve:
         assert not model.dense_fallback and 0 < model.sweeps < diffusion_map._MAX_SWEEPS
         assert_matches_dense_oracle(X, model)
 
+    def test_start_block_has_full_rank(self):
+        """For n = 3..400, column 0 is top and every block with 2 width < n has full rank. Each is the leading
+        columns of the widest, so its R factor is the leading block of the widest's: no diagonal entry of that
+        block may fall below 1e-8 of its largest."""
+        rng = np.random.default_rng(0)
+        for n in range(3, 401):
+            top = np.sqrt(affinity(rng.standard_normal((3, n)), "auto").sum(axis=1))
+            widest = (n - 1) // 2
+            block = diffusion_map._start_block(top, widest)
+            np.testing.assert_array_equal(block[:, 0], top)
+            for width in (1, (widest + 1) // 2, widest):
+                np.testing.assert_array_equal(diffusion_map._start_block(top, width), block[:, :width])
+            diagonal = np.abs(np.diag(np.linalg.qr(block, mode="r")))
+            assert np.all(np.minimum.accumulate(diagonal) >= 1e-8 * np.maximum.accumulate(diagonal)), n
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ring_fold_embedding_ignores_the_column_order(self, seed):
+        X = ring_fold()
+        order = np.random.default_rng(seed).permutation(X.shape[1])
+        model = diffusion_map.fit(X, DiffusionConfig())
+        permuted = diffusion_map.fit(X[:, order], DiffusionConfig())
+        assert not permuted.dense_fallback
+        np.testing.assert_allclose(permuted.embedding, model.embedding[order], rtol=0, atol=1e-10)
+
     def test_flat_spectrum_falls_back_to_the_dense_solve(self):
         rng = np.random.default_rng(0)
         X = rng.random((180, 300))

@@ -30,6 +30,7 @@ from sklpdm import (
     update_distances,
 )
 from sklpdm.sklp_projection import (
+    _sorted_eigh,
     ProjectionModel,
     _smallest_admissible_rho,
     _tile_rows,
@@ -285,6 +286,27 @@ class TestSolveEig:
     def test_sign_convention(self):
         _, P = solve_eig(np.diag([5.0, 2.0]), 2)
         assert P[0, 0] > 0 and P[1, 1] > 0
+
+    def test_sorted_eigh_reverses_eigh_on_a_copy(self, monkeypatch):
+        """Descending values, eigh's columns reversed (ties too) with signs fixed, in a C-ordered block that does not
+        share memory with eigh's output, which stays as eigh returned it."""
+        rng = np.random.default_rng(4)
+        basis, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        A = basis @ np.diag([3.0, 1.0, 1.0, 1.0, 0.5, 0.0, -2.0]) @ basis.T
+        A = (A + A.T) / 2.0
+        eigh_values, eigh_vectors = np.linalg.eigh(A)
+        returned = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: returned.append(eigh(M)) or returned[-1])
+        values, vectors = _sorted_eigh(A, 5)
+        np.testing.assert_array_equal(values, eigh_values[::-1])
+        assert np.all(np.diff(values) <= 0)
+        expected = eigh_vectors[:, ::-1][:, :5]
+        signs = np.sign(expected[np.argmax(np.abs(expected), axis=0), np.arange(5)])
+        assert np.any(signs < 0)  # so a write through a view would show
+        np.testing.assert_array_equal(vectors, expected * signs)
+        assert vectors.flags.c_contiguous and not np.shares_memory(vectors, returned[0][1])
+        np.testing.assert_array_equal(returned[0][1], eigh_vectors)
 
 
 class TestPairwiseSqDistances:

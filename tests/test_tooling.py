@@ -156,14 +156,14 @@ def test_compare_outputs_accepts_a_tree_against_itself():
     src = Path(sklpdm.__file__).resolve().parents[1]
     code, verdicts, output = run_compare(src, src)
     assert code == 0, output
-    assert "BREACH" not in output and "35/35 cases within the contract" in output
-    assert len([name for name in verdicts if name.startswith("diffusion")]) == 8
+    assert "BREACH" not in output and "36/36 cases within the contract" in output
+    assert len([name for name in verdicts if name.startswith("diffusion")]) == 9
     assert len([name for name in verdicts if name.startswith("cli fit")]) == 4
     assert re.findall(r"^ok +(cli process .+): bit-identical$", output, re.M) == [
         "cli process radon, classify svm, diffuse"]
     assert re.findall(r"^ok +(read .+): bit-identical$", output, re.M) == ["read load_csv", "read sequence_features"]
-    assert re.search(r"^ok +diffusion ring fold n=250: .*\(solve iterative, \d+ sweeps / iterative, \d+ sweeps\)$",
-                     output, re.M), output
+    assert len(re.findall(r"^ok +diffusion ring fold n=250(?:, columns permuted)?: .*"
+                          r"\(solve iterative, \d+ sweeps / iterative, \d+ sweeps\)$", output, re.M)) == 2, output
     assert re.search(r"^ok +diffusion flat spectrum n=300: .*\(solve dense after 30 sweeps / dense after 30 sweeps\)$",
                      output, re.M), output
     lines = sum(path.read_bytes().count(b"\n") for path in (src / "sklpdm").glob("*.py"))
@@ -183,7 +183,7 @@ def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):
         )
     code, verdicts, output = run_compare(src, tmp_path)
     diffusion = [name for name in verdicts if name.startswith("diffusion")]
-    assert len(verdicts) == 35 and len(diffusion) == 8, output
+    assert len(verdicts) == 36 and len(diffusion) == 9, output
     assert [name for name, status in verdicts.items() if status == "BREACH"] == diffusion + [
         "cli process radon, classify svm, diffuse"]
     assert re.search(r"^BREACH cli process radon, classify svm, diffuse: differ in embedding.csv, "
@@ -201,12 +201,12 @@ def test_compare_outputs_reports_each_case_when_one_raises(tmp_path):
     with open(tmp_path / "sklpdm" / "classify_eval.py", "a", encoding="utf-8") as handle:
         handle.write('\nPIPELINES = ("pca", "lda", "sklp+dm")\n')
     code, verdicts, output = run_compare(src, tmp_path)
-    assert code == 1 and len(verdicts) == 35, output
+    assert code == 1 and len(verdicts) == 36, output
     assert [name for name, status in verdicts.items() if status == "BREACH"] == [
         "cli process radon, classify svm, diffuse", "read sequence_features", "cv dm knn", "cv dm svm"], output
     assert re.search(r"^BREACH cli process radon, classify svm, diffuse: new tree raised RuntimeError\('sklpdm radon "
                      r"exited 2: data error: no frames today'\)$", output, re.M), output
     assert re.search(r"^BREACH read sequence_features: new tree raised DataError\('no frames today'\)$", output, re.M)
     assert re.search(r"^BREACH cv dm knn: new tree has no such case$", output, re.M)
-    assert "31/35 cases within the contract" in output
+    assert "32/36 cases within the contract" in output
 

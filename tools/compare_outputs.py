@@ -77,6 +77,11 @@ def diffusion_cases(sklpdm):
         return (sklpdm.project(model, fold.features), sklpdm.project(model, data.features[:, held]),
                 sklpdm.DiffusionConfig())
 
+    def permuted_ring_fold():
+        # the same fold with its columns in a seeded random order, which the start block must not depend on
+        train, held, config = ring_fold()
+        return train[:, np.random.default_rng(0).permutation(train.shape[1])], held, config
+
     def flat_spectrum():
         # unit-sum uniform columns: a flat spectrum that exhausts the sweep cap (n = 300)
         X = np.random.default_rng(0).random((180, 360))
@@ -86,6 +91,7 @@ def diffusion_cases(sklpdm):
     cases = {f"diffusion n={n} sigma={sigma}": functools.partial(gaussians, n, sigma)
              for n in (30, 120, 300) for sigma in (3.0, "auto")}
     cases["diffusion ring fold n=250"] = ring_fold
+    cases["diffusion ring fold n=250, columns permuted"] = permuted_ring_fold
     cases["diffusion flat spectrum n=300"] = flat_spectrum
     return cases
 
