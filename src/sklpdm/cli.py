@@ -64,7 +64,6 @@ def _add_sklp_flags(command):
     default = sklp_projection.SklpConfig()
     command.add_argument("--dim", type=_auto_or_int, default=default.target_dim)
     command.add_argument("--rho", type=float, default=default.rho)
-    command.add_argument("--eta", type=float, default=default.learning_rate)
     command.add_argument("--sigma", type=_auto_or_float, default=default.kernel_bandwidth)
     command.add_argument("--tol", type=float, default=default.rel_tolerance)
     command.add_argument("--max-iters", type=int, default=default.max_iters)
@@ -195,7 +194,6 @@ def _sklp_config_from(args):
         rho=args.rho,
         kernel_bandwidth=args.sigma,
         target_dim=args.dim,
-        learning_rate=args.eta,
         max_iters=args.max_iters,
         rel_tolerance=args.tol,
     )

@@ -174,14 +174,11 @@ def extend(model: DiffusionModel, Xnew):
     """
     Xnew = samples(Xnew, "Xnew", model.train_points.shape[0])
     probs = pairwise_sq_distances(Xnew, model.train_points)
-    sums = gaussian_kernel(probs, model.bandwidth, probs).sum(axis=1, keepdims=True)
-    unreached = np.count_nonzero(sums == 0)
-    if unreached:
-        raise NumericalError(
-            f"{unreached} of {len(sums)} new columns have zero affinity to every training "
-            f"point at bandwidth {model.bandwidth!r}: they lie too far from the training data"
-        )
-    probs /= sums
+    nearest = probs.min(axis=1, keepdims=True)
+    if not np.isfinite(nearest).all():
+        raise NumericalError("the new columns' distances to the training points are not finite: rescale the features")
+    probs -= nearest  # relative to each row's nearest training point: the same probabilities, and row sums >= 1
+    probs /= gaussian_kernel(probs, model.bandwidth, probs).sum(axis=1, keepdims=True)
     lam = model.eigenvalues[1:]
     coords = probs @ model.eigenvectors[:, 1:]
     return coords * (lam ** (model.time - 1))[None, :]

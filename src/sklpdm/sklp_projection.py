@@ -13,10 +13,10 @@ similarities of the projected pairwise distances. Each iteration:
   3. assemble the weighted pairwise scatter from the class moments of the
      centred X, computed once per fit: A = 2 (sum_k (W c)_k C_k - S W S^T),
      and take its top positive eigenvectors as the new projection,
-  4. relax M toward the new projected distances with learning rate eta,
-  5. evaluate the objective J on the updated M.
+  4. replace M with the new projection's squared distances,
+  5. evaluate the objective J on the new M.
 
-The fit keeps the projection with the best observed objective.
+It stops when the averages stop moving and keeps the best-J projection.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class SklpConfig:
                        initial projected pairwise distances (see `bandwidth`)
     target_dim       : output dimension d, or "auto" for K - 1 (capped at
                        min(D, n-1))
-    learning_rate    : distance relaxation step eta in (0, 1]
+    rel_tolerance    : the fit stops when no log kernel average moves by
+                       more than this in one iteration
 
     The class weights are always the pair-count default lambda_k =
     n_o / (K * n_k) of `default_class_weights`.
@@ -57,15 +58,12 @@ class SklpConfig:
     rho: float = 0.1
     kernel_bandwidth: float | str = "auto"
     target_dim: int | str = "auto"
-    learning_rate: float = 0.1
     max_iters: int = 100
     rel_tolerance: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise DataError(f"rho must be in (0, 1), got {self.rho!r}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise DataError(f"learning_rate must be in (0, 1], got {self.learning_rate!r}")
         object.__setattr__(self, "max_iters", positive_int(self.max_iters, "max_iters"))
         if not 0 < self.rel_tolerance < math.inf:
             raise DataError(f"rel_tolerance must be positive and finite, got {self.rel_tolerance!r}")
@@ -396,30 +394,20 @@ def _tile_rows(n, cap):
     return max(1, min(_TILE_FLOATS // max(n, 1), cap))
 
 
-def update_distances(M, P, X, learning_rate):
-    """Relax M in place toward the squared distances of the projection P^T X: M + eta * (d_P - M).
+def update_distances(M, P, X):
+    """Overwrite M in place with the squared distances of the projection P^T X.
 
     Returns M. Each row tile of the new distances (at most 2**16 floats and
-    n // 2 rows) comes from pairwise_sq_distances and is freed before the
-    next is built, so beyond M the update holds one tile, its scratch and
-    the d x n projection. The row cap bounds that transient: it binds for
-    n <= 362, where it holds the tile plus its scratch to n^2 floats.
+    n // 2 rows) comes from pairwise_sq_distances and goes into M before
+    the next is built, so beyond M the update holds one tile, its scratch
+    and the d x n projection. The row cap bounds that transient: it binds
+    for n <= 362, where it holds the tile plus its scratch to n^2 floats.
     """
-    if not 0.0 < learning_rate <= 1.0:
-        raise DataError(f"learning_rate must be in (0, 1], got {learning_rate!r}")
     projected = P.T @ np.asarray(X, dtype=np.float64)
     n = projected.shape[1]
     rows = _tile_rows(n, n // 2)
     for start in range(0, n, rows):
-        block = M[start:start + rows]
-        target = pairwise_sq_distances(projected[:, start:start + rows], projected)
-        if learning_rate == 1.0:  # full step is exact, no cancellation residue
-            block[...] = target
-        else:  # M + eta * (target - M)
-            target -= block
-            target *= learning_rate
-            block += target
-        del target  # free this tile before the next one is built
+        M[start:start + rows] = pairwise_sq_distances(projected[:, start:start + rows], projected)
     return M
 
 
@@ -495,10 +483,10 @@ def _smallest_admissible_rho(moments, state, rho):
 def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
     """Run the iterative fit; returns (ProjectionModel, SklpState).
 
-    Stops when the objective change drops below rel_tolerance * (|J| + 1)
-    or after max_iters iterations. The returned projection is the iterate
-    with the best observed objective (the initialization counts as
-    iterate 0, carrying the covariance spectrum).
+    Stops when no log m_ck and not log m_o moves by more than rel_tolerance
+    in one iteration, or after max_iters iterations. J need not rise every
+    iteration, so the returned projection is the best-J iterate (the
+    initialization counts as iterate 0, carrying the covariance spectrum).
     """
     if config is None:
         config = SklpConfig()
@@ -512,7 +500,6 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
     )
 
     moments = class_moments(X, labels, K)
-    previous = state.objective_history[0]
     for t in range(1, config.max_iters + 1):
         W = alpha_weights(state.m_c, state.m_o, config.rho, state.class_weights)
         scatter = scatter_matrix(moments, W)
@@ -523,10 +510,11 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
             fix = f"rho >= {rho}" if rho else "no rho < 1"
             raise NumericalError(f"iteration {t} with rho={config.rho}: {exc}; a larger rho weights the inter-class "
                                  f"term more, and {fix} gives this iteration's scatter a positive eigenvalue") from exc
-        update_distances(state.M, P, X, config.learning_rate)
+        update_distances(state.M, P, X)
         # one exp(-M / sigma^2) gives this objective and the next iteration's averages
         sums = _kernel_sums(state.M, labels, K, state.sigma)
         current = _objective_value(sums[0], sums[1], config.rho, state.class_weights)
+        previous = np.log(np.append(state.m_c, state.m_o))
         state.m_c, state.m_o = _averages(*sums)
         state.objective_history.append(current)
         state.eigenvalue_history.append(values)
@@ -536,9 +524,8 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
             state.best_index = t
             state.best_matrix = P
             state.best_scatter = scatter
-        if abs(current - previous) <= config.rel_tolerance * (abs(previous) + 1.0):
+        if np.abs(np.log(np.append(state.m_c, state.m_o)) - previous).max() <= config.rel_tolerance:
             break
-        previous = current
 
     model = ProjectionModel(
         matrix=state.best_matrix,

@@ -246,20 +246,23 @@ def csv_rows_oracle(header, rows, lead=None, tail=None):
     return buffer.getvalue()
 
 
-def sklp_fit_oracle(dataset, config):
+def sklp_fit_oracle(dataset, config, eta=1.0):
     """The SKLP fit loop from direct whole-matrix formulas.
 
     Distances from a D x n x n broadcast difference tensor, the scatter as
     2 (X diag(r) X^T - S W S^T) of the centred X in every iteration, and
-    kernel sums from the full n x n exp(-M / sigma^2). Returns a dict with
-    the best iterate's `matrix`, the `objective_history`, the `iteration`
-    reached and the `best_index`.
+    kernel sums from the full n x n exp(-M / sigma^2). eta < 1 relaxes the
+    distances, M <- M + eta (d_P - M), a damped iteration toward the same
+    fixed point as the fit's full step eta = 1. The loop stops when no log
+    kernel average moves by more than config.rel_tolerance. Returns a dict
+    with the best iterate's `matrix`, the `objective_history`, the
+    `iteration` reached and the `best_index`.
     """
     X = np.asarray(dataset.features, dtype=np.float64)
     labels = np.asarray(dataset.labels)
     K = dataset.class_count
     D, n = X.shape
-    rho, eta = config.rho, config.learning_rate
+    rho = config.rho
     counts = np.bincount(labels, minlength=K)
     n_k = counts * (counts - 1)
     n_o = n * (n - 1) - n_k.sum()
@@ -289,6 +292,9 @@ def sklp_fit_oracle(dataset, config):
         blocks = Y.T @ kernel @ Y
         return np.diag(blocks), blocks.sum() - np.trace(blocks)
 
+    def log_averages(intra, inter):  # log m_ck (0 for singleton classes) and log m_o
+        return np.append(np.where(n_k > 0, -intra / np.maximum(n_k, 1), 0.0), -inter / n_o)
+
     _, best = top_positive(centred @ centred.T / (n - 1))
     M = distances(best.T @ X)
     if config.kernel_bandwidth == "auto":
@@ -299,6 +305,7 @@ def sklp_fit_oracle(dataset, config):
     history = [(1.0 - rho) * float(lam @ intra) - rho * inter]
     best_index = iteration = 0
     for iteration in range(1, config.max_iters + 1):
+        previous = log_averages(intra, inter)
         m_c = np.where(n_k > 0, np.exp(-intra / np.maximum(n_k, 1)), 1.0)
         W = np.full((K, K), rho / math.exp(-inter / n_o))
         np.fill_diagonal(W, -(1.0 - rho) * lam / m_c)
@@ -311,6 +318,6 @@ def sklp_fit_oracle(dataset, config):
         history.append((1.0 - rho) * float(lam @ intra) - rho * inter)
         if history[-1] > history[best_index]:
             best_index, best = iteration, P
-        if abs(history[-1] - history[-2]) <= config.rel_tolerance * (abs(history[-2]) + 1.0):
+        if np.abs(log_averages(intra, inter) - previous).max() <= config.rel_tolerance:
             break
     return {"matrix": best, "objective_history": history, "iteration": iteration, "best_index": best_index}

@@ -166,7 +166,7 @@ def test_criterion_2_eigen_solution_contract(ring_sweep, blob_sweep):
             _eigen_contract(P, values, A)
             assert np.all(values > 0)
             _rayleigh_beats_random(P, A, rng)
-            state.M = update_distances(state.M, P, data.features, config.learning_rate)
+            state.M = update_distances(state.M, P, data.features)
             fits += 1
 
         pca = pca_fit(data, 3)

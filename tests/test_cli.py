@@ -39,8 +39,7 @@ def gaussian_csv(tmp_path):
     return out
 
 
-SKLP_FLOATS = [("--rho", "rho"), ("--eta", "learning_rate"), ("--sigma", "kernel_bandwidth"),
-               ("--tol", "rel_tolerance")]
+SKLP_FLOATS = [("--rho", "rho"), ("--sigma", "kernel_bandwidth"), ("--tol", "rel_tolerance")]
 # (command and kind, flag, the setting its data error names): every float flag of every command and kind
 FLOAT_FLAGS = [
     (["synth", "gaussian"], "--spread", "spread"),
@@ -64,8 +63,17 @@ BANDWIDTH_FLAGS = [
 ]
 
 
+def swept(command, flag, setting):
+    """A float flag's cases at nan and inf. Each --rho's are followed by its command's --tol at 0 and -1,
+    which are not positive, and in that order the ids of the cases after them keep their indices."""
+    yield from ((command, flag, setting, value) for value in ("nan", "inf"))
+    if flag == "--rho":
+        yield from ((command, "--tol", "rel_tolerance", value) for value in ("0", "-1"))
+
+
 def unusable_settings():
-    """Each bandwidth flag at every value that breaks the bandwidth rule, and each float flag at nan and inf."""
+    """Each bandwidth flag at every value that breaks the bandwidth rule, each float flag at nan and inf, and
+    each --tol at 0 and -1."""
     cases = [
         (command, flag, setting, value)
         for command, flag, setting in BANDWIDTH_FLAGS
@@ -73,11 +81,7 @@ def unusable_settings():
     ] + [(["fit", "sklp"], "--tol", "rel_tolerance", "nan")] + [
         (command, flag, setting, "1e-160") for command, flag, setting in BANDWIDTH_FLAGS
     ]
-    return cases + [
-        case
-        for case in ((*flag, value) for flag in FLOAT_FLAGS for value in ("nan", "inf"))
-        if case not in cases
-    ]
+    return cases + [case for flag in FLOAT_FLAGS for case in swept(*flag) if case not in cases]
 
 
 UNUSABLE_SETTINGS = unusable_settings() + [
@@ -601,7 +605,6 @@ def test_sklp_flag_defaults_match_config():
     table = {
         "dim": "target_dim",
         "rho": "rho",
-        "eta": "learning_rate",
         "sigma": "kernel_bandwidth",
         "tol": "rel_tolerance",
         "max_iters": "max_iters",

@@ -310,19 +310,39 @@ class TestExtend:
         out = diffusion_map.extend(model, np.zeros((2, 0)))
         assert out.shape == (0, 2)
 
-    def test_unreachable_columns_rejected(self):
-        # columns far from every unit-sum training profile get affinity exp(-huge) = 0
+    def test_far_columns_get_finite_coordinates(self):
+        # columns far from every unit-sum training profile: their plain affinities exp(-huge) are all 0, but
+        # relative to the nearest training point they are not, and each column gets a weighted average of the
+        # training rows of lambda^(t-1) phi
         rng = np.random.default_rng(11)
         train = rng.random((180, 40))
         train /= train.sum(axis=0)
-        model = diffusion_map.fit(train, DiffusionConfig(embed_dim=2))
+        model = diffusion_map.fit(train, DiffusionConfig(embed_dim=2, time=2))
         new = np.hstack([rng.random((180, 3)), train[:, [5]], rng.random((180, 2))])
-        message = rf"5 of 6 new columns have zero affinity .* bandwidth {re.escape(repr(model.bandwidth))}:"
-        with pytest.raises(NumericalError, match=message):
-            diffusion_map.extend(model, new)
+        far = [0, 1, 2, 4, 5]
+        assert not np.exp(-sklp_projection.pairwise_sq_distances(new[:, far], train) / model.bandwidth ** 2).any()
+        extended = diffusion_map.extend(model, new)
+        rows = model.eigenvectors[:, 1:] * model.eigenvalues[1:]
+        assert np.isfinite(extended).all()
+        assert np.all(extended[far] >= rows.min(axis=0) - 1e-12) and np.all(extended[far] <= rows.max(axis=0) + 1e-12)
         np.testing.assert_array_equal(
             diffusion_map.extend(model, train[:, [5]]), diffusion_map.extend(model, new[:, [3]])
         )
+
+    def test_collapsed_training_set_extends_distant_points(self):
+        """Six 1-D points within 0.006 of each other give an "auto" bandwidth of about 0.003, at which points
+        0.1 and 1.0 away have no affinity that does not underflow, except relative to their nearest one."""
+        X = np.array([[-0.666, -0.667, -0.6685, -0.67, -0.671, -0.672]])
+        model = diffusion_map.fit(X, DiffusionConfig())
+        assert model.bandwidth < 0.004
+        extended = diffusion_map.extend(model, np.array([[-0.772, 0.334]]))
+        assert extended.shape == (2, 2) and np.isfinite(extended).all()
+        np.testing.assert_allclose(extended, model.eigenvectors[[5, 0], 1:], rtol=0, atol=1e-12)  # the nearest's phi
+
+    def test_overflowing_distances_say_rescale(self):
+        model = diffusion_map.fit(np.random.default_rng(9).standard_normal((3, 20)), DiffusionConfig())
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite: rescale the features"):
+            diffusion_map.extend(model, np.full((3, 2), 1e200))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(9)

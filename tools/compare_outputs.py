@@ -49,9 +49,9 @@ def sklp_cases(sklpdm):
     """name -> function returning the (dataset, SklpConfig) of a compared fit."""
     cases = {}
     for seed in range(3):
-        for rho, eta in ((0.6, 0.1), (0.5, 1.0), (0.7, 0.37)):
-            cases[f"fit rings s{seed} rho={rho} eta={eta}"] = lambda seed=seed, rho=rho, eta=eta: (
-                sklpdm.gen_ring_classes(4, 60, 0.4, 60, seed), sklpdm.SklpConfig(rho=rho, learning_rate=eta))
+        for rho in (0.6, 0.5, 0.7):
+            cases[f"fit rings s{seed} rho={rho}"] = lambda seed=seed, rho=rho: (
+                sklpdm.gen_ring_classes(4, 60, 0.4, 60, seed), sklpdm.SklpConfig(rho=rho))
     cases["fit gaussian 5x200 D=180"] = lambda: (
         sklpdm.gen_gaussian_classes(5, 200, 180, 1.0, 4.0, 0), sklpdm.SklpConfig(rho=0.6, max_iters=20))
     cases["fit gaussian 3x100 D=20"] = lambda: (
