@@ -16,7 +16,8 @@ similarities of the projected pairwise distances. Each iteration:
   4. replace M with the new projection's squared distances,
   5. evaluate the objective J on the new M.
 
-It stops when the averages stop moving and keeps the best-J projection.
+It stops when the averages repeat those of one or two iterations back,
+and keeps the best-J projection.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import math
 import numbers
 import sys
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -48,8 +50,9 @@ class SklpConfig:
                        initial projected pairwise distances (see `bandwidth`)
     target_dim       : output dimension d, or "auto" for K - 1 (capped at
                        min(D, n-1))
-    rel_tolerance    : the fit stops when no log kernel average moves by
-                       more than this in one iteration
+    rel_tolerance    : the fit stops when no log kernel average differs by
+                       more than this from its value one or two iterations
+                       back
 
     The class weights are always the pair-count default lambda_k =
     n_o / (K * n_k) of `default_class_weights`.
@@ -170,11 +173,12 @@ def default_class_weights(labels, class_count):
     return n_o / (class_count * np.maximum(n_k, 1))
 
 
-def pairwise_sq_distances(points, others=None):
+def pairwise_sq_distances(points, others=None, out=None):
     """Squared distances between columns, sum_d (points[d, i] - others[d, j])^2 in feature order.
 
-    The m x n output is filled one row tile (at most 2**16 floats) at a time,
-    so memory beyond it is one tile of scratch, never a D x m x n tensor.
+    The m x n output (out, when given, else a new array) is filled one row
+    tile (at most 2**16 floats) at a time, so memory beyond it is one tile
+    of scratch, never a D x m x n tensor.
     Each feature's difference tile is one BLAS product of [a, 1] (rows x 2)
     and [1; -b] (2 x n): the entry a_i*1 + 1*(-b_j) has two exact products
     and one rounded addition, so it equals a_i - b_j bit for bit.
@@ -182,7 +186,9 @@ def pairwise_sq_distances(points, others=None):
     """
     others = points if others is None else others
     m, n = points.shape[1], others.shape[1]
-    out = np.zeros((m, n))  # stays zero when there are no features
+    out = np.empty((m, n)) if out is None else out
+    if len(points) == 0:
+        out.fill(0.0)  # no features: every distance is zero
     rows = _tile_rows(n, m)
     scratch = np.empty((rows, n))
     left = np.ones((rows, 2))  # column 0 takes a feature's tile of points
@@ -395,20 +401,13 @@ def _tile_rows(n, cap):
 
 
 def update_distances(M, P, X):
-    """Overwrite M in place with the squared distances of the projection P^T X.
+    """Overwrite M in place with the squared distances of the projection P^T X, and return M.
 
-    Returns M. Each row tile of the new distances (at most 2**16 floats and
-    n // 2 rows) comes from pairwise_sq_distances and goes into M before
-    the next is built, so beyond M the update holds one tile, its scratch
-    and the d x n projection. The row cap bounds that transient: it binds
-    for n <= 362, where it holds the tile plus its scratch to n^2 floats.
+    pairwise_sq_distances fills M one row tile at a time, so beyond M the
+    update holds one tile of scratch (at most 2**16 floats) and the d x n
+    projection.
     """
-    projected = P.T @ np.asarray(X, dtype=np.float64)
-    n = projected.shape[1]
-    rows = _tile_rows(n, n // 2)
-    for start in range(0, n, rows):
-        M[start:start + rows] = pairwise_sq_distances(projected[:, start:start + rows], projected)
-    return M
+    return pairwise_sq_distances(P.T @ np.asarray(X, dtype=np.float64), out=M)
 
 
 def init_state(dataset: LabeledDataset, config: SklpConfig) -> SklpState:
@@ -483,10 +482,13 @@ def _smallest_admissible_rho(moments, state, rho):
 def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
     """Run the iterative fit; returns (ProjectionModel, SklpState).
 
-    Stops when no log m_ck and not log m_o moves by more than rel_tolerance
-    in one iteration, or after max_iters iterations. J need not rise every
-    iteration, so the returned projection is the best-J iterate (the
-    initialization counts as iterate 0, carrying the covariance spectrum).
+    Stops when no log m_ck and not log m_o differs by more than
+    rel_tolerance from its value one iteration back (a fixed point) or two
+    iterations back (a 2-cycle), or after max_iters iterations. The next
+    iterate depends only on these averages, so either way the fit would
+    only repeat itself. J need not rise every iteration, so the returned
+    projection is the best-J iterate (the initialization counts as iterate
+    0, carrying the covariance spectrum).
     """
     if config is None:
         config = SklpConfig()
@@ -500,6 +502,7 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
     )
 
     moments = class_moments(X, labels, K)
+    recent = deque([np.log(np.append(state.m_c, state.m_o))], maxlen=2)  # log averages 1 and 2 iterations back
     for t in range(1, config.max_iters + 1):
         W = alpha_weights(state.m_c, state.m_o, config.rho, state.class_weights)
         scatter = scatter_matrix(moments, W)
@@ -514,7 +517,6 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
         # one exp(-M / sigma^2) gives this objective and the next iteration's averages
         sums = _kernel_sums(state.M, labels, K, state.sigma)
         current = _objective_value(sums[0], sums[1], config.rho, state.class_weights)
-        previous = np.log(np.append(state.m_c, state.m_o))
         state.m_c, state.m_o = _averages(*sums)
         state.objective_history.append(current)
         state.eigenvalue_history.append(values)
@@ -524,8 +526,10 @@ def fit(dataset: LabeledDataset, config: SklpConfig | None = None):
             state.best_index = t
             state.best_matrix = P
             state.best_scatter = scatter
-        if np.abs(np.log(np.append(state.m_c, state.m_o)) - previous).max() <= config.rel_tolerance:
+        logs = np.log(np.append(state.m_c, state.m_o))
+        if min(np.abs(logs - back).max() for back in recent) <= config.rel_tolerance:
             break
+        recent.appendleft(logs)
 
     model = ProjectionModel(
         matrix=state.best_matrix,

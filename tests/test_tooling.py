@@ -95,6 +95,16 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+def test_public_names_are_their_defining_modules_objects():
+    """__all__ is the export table's names in order, then __version__; the tracer wraps functions by identity,
+    so each package attribute must be the very object its module defines."""
+    assert len(set(sklpdm.__all__)) == len(sklpdm.__all__) and sklpdm.__all__[-1] == "__version__"
+    assert [name for names in sklpdm._EXPORTS.values() for name in names] == sklpdm.__all__[:-1]
+    rebound = [f"{module}.{name}" for module, names in sklpdm._EXPORTS.items() for name in names
+               if getattr(sklpdm, name) is not getattr(importlib.import_module(f"sklpdm.{module}"), name)]
+    assert rebound == []
+
+
 def test_compare_outputs_flags_each_breach():
     deviations = load_module("compare_outputs", COMPARE).deviations
     fit = {"iteration": 3, "best_index": 2, "objective_history": [1.0, 2.0, 3.0, 2.5], "matrix": [[1.0], [0.0]]}
@@ -138,6 +148,11 @@ def test_compare_outputs_flags_each_breach():
     assert [deviations(read, changed) for changed in breaches] == [
         ("differ in features", False), ("differ in label names", False), ("differ in label names", False),
         ("differ in extra.csv", False)]
+    names = {"names": ["fit", "project", "__version__"]}
+    assert deviations(names, names) == ("3 names, equal", True)
+    assert deviations(names, {"names": ["fit", "radon", "__version__"]}) == (
+        "added ['radon'], removed ['project']", False)
+    assert deviations(names, {"names": ["project", "fit", "__version__"]}) == ("the same names in another order", False)
     assert deviations(None, cv) == ("old tree has no such case", False)
     assert deviations(cv, None) == ("new tree has no such case", False)
     assert deviations(cv, {"error": "DataError('bad frame')"}) == ("new tree raised DataError('bad frame')", False)
@@ -156,12 +171,13 @@ def test_compare_outputs_accepts_a_tree_against_itself():
     src = Path(sklpdm.__file__).resolve().parents[1]
     code, verdicts, output = run_compare(src, src)
     assert code == 0, output
-    assert "BREACH" not in output and "36/36 cases within the contract" in output
+    assert "BREACH" not in output and "37/37 cases within the contract" in output
     assert len([name for name in verdicts if name.startswith("diffusion")]) == 9
     assert len([name for name in verdicts if name.startswith("cli fit")]) == 4
     assert re.findall(r"^ok +(cli process .+): bit-identical$", output, re.M) == [
         "cli process radon, classify svm, diffuse"]
     assert re.findall(r"^ok +(read .+): bit-identical$", output, re.M) == ["read load_csv", "read sequence_features"]
+    assert f"\nok     namespace: {len(sklpdm.__all__)} names, equal\n" in output, output
     assert len(re.findall(r"^ok +diffusion ring fold n=250(?:, columns permuted)?: .*"
                           r"\(solve iterative, \d+ sweeps / iterative, \d+ sweeps\)$", output, re.M)) == 2, output
     assert re.search(r"^ok +diffusion flat spectrum n=300: .*\(solve dense after 30 sweeps / dense after 30 sweeps\)$",
@@ -183,7 +199,7 @@ def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):
         )
     code, verdicts, output = run_compare(src, tmp_path)
     diffusion = [name for name in verdicts if name.startswith("diffusion")]
-    assert len(verdicts) == 36 and len(diffusion) == 9, output
+    assert len(verdicts) == 37 and len(diffusion) == 9, output
     assert [name for name, status in verdicts.items() if status == "BREACH"] == diffusion + [
         "cli process radon, classify svm, diffuse"]
     assert re.search(r"^BREACH cli process radon, classify svm, diffuse: differ in embedding.csv, "
@@ -201,12 +217,12 @@ def test_compare_outputs_reports_each_case_when_one_raises(tmp_path):
     with open(tmp_path / "sklpdm" / "classify_eval.py", "a", encoding="utf-8") as handle:
         handle.write('\nPIPELINES = ("pca", "lda", "sklp+dm")\n')
     code, verdicts, output = run_compare(src, tmp_path)
-    assert code == 1 and len(verdicts) == 36, output
+    assert code == 1 and len(verdicts) == 37, output
     assert [name for name, status in verdicts.items() if status == "BREACH"] == [
         "cli process radon, classify svm, diffuse", "read sequence_features", "cv dm knn", "cv dm svm"], output
     assert re.search(r"^BREACH cli process radon, classify svm, diffuse: new tree raised RuntimeError\('sklpdm radon "
                      r"exited 2: data error: no frames today'\)$", output, re.M), output
     assert re.search(r"^BREACH read sequence_features: new tree raised DataError\('no frames today'\)$", output, re.M)
     assert re.search(r"^BREACH cv dm knn: new tree has no such case$", output, re.M)
-    assert "32/36 cases within the contract" in output
+    assert "33/37 cases within the contract" in output
 

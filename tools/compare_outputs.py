@@ -8,8 +8,9 @@ with their Nystrom extensions, `fit pca` and `fit lda` through the tree's
 `sklpdm.cli.run`, one chain of `python -m sklpdm` processes (`radon`,
 `classify svm --vote-by-group`, `diffuse`), two read paths (`load_csv`
 on a plain and on a quoted-label file, `sequence_features` on P2 and P5
-frames with header comments) and all 8 cross-validation pipelines
-(4 reductions x KNN/SVM) in one subprocess per tree with only that tree
+frames with header comments), all 8 cross-validation pipelines
+(4 reductions x KNN/SVM) and the package's `__all__` (the `namespace`
+case) in one subprocess per tree with only that tree
 on PYTHONPATH. Each case runs on its own, so a case that raises is
 reported as a breach naming its exception while the others still report,
 and so is a case that only one tree has. It prints every case's deviations, and for a diffusion case how
@@ -24,7 +25,8 @@ if any case breaches the contract that the README states under
   - `fit pca|lda` models: matrix and eigenvalues within 1e-10 entrywise;
   - read paths and the process chain: every value, and every byte the
     chain wrote, bit for bit (manifests without `duration_s`);
-  - cross-validation: equal confusion counts and fold accuracies.
+  - cross-validation: equal confusion counts and fold accuracies;
+  - namespace: the same public names in the same order.
 
 It also prints the line count of each tree's `sklpdm/*.py` (as `wc -l`
 counts them) and the difference.
@@ -259,6 +261,7 @@ def collect():
     cases.update(cli_process_cases(sklpdm))
     cases.update(read_cases(sklpdm))
     cases.update(cv_cases(sklpdm))
+    cases["namespace"] = lambda: {"names": list(sklpdm.__all__)}
     records = {"sklpdm": os.path.dirname(os.path.dirname(os.path.abspath(sklpdm.__file__)))}
     for name, record in cases.items():
         try:
@@ -284,6 +287,12 @@ def deviations(old, new):
         differ = [key for key in {**old["exact"], **new["exact"]}
                   if json.dumps(old["exact"].get(key)) != json.dumps(new["exact"].get(key))]
         return (f"differ in {', '.join(differ)}", False) if differ else ("bit-identical", True)
+    if "names" in old:
+        if old == new:
+            return f"{len(old['names'])} names, equal", True
+        added = [name for name in new["names"] if name not in old["names"]]
+        removed = [name for name in old["names"] if name not in new["names"]]
+        return (f"added {added}, removed {removed}" if added or removed else "the same names in another order"), False
     if "confusion" in old:
         return ("equal", True) if old == new else (f"differ: {old} vs {new}", False)
     if "embedding" in old:
