@@ -12,10 +12,11 @@ from .sklp_projection import ProjectionModel, _sorted_eigh, covariance, output_d
 def pca_fit(dataset: LabeledDataset, target_dim="auto") -> ProjectionModel:
     """Top-d directions of the sample covariance (1/(n-1) normalization).
 
-    d is resolved from target_dim as SKLP resolves it (output_dim). The
-    mean is stored on the model and subtracted before projecting.
-    Zero-variance directions are kept so the reported spectrum matches the
-    covariance exactly.
+    d is resolved from target_dim as SKLP resolves it (output_dim), then
+    capped at the covariance's rank: a direction whose eigenvalue is at most
+    D * eps * lambda_max (np.linalg.matrix_rank's tolerance) holds only
+    rounding noise and is dropped, though the top direction is always kept.
+    The mean is stored on the model and subtracted before projecting.
     """
     X = dataset.features
     D, n = X.shape
@@ -24,8 +25,9 @@ def pca_fit(dataset: LabeledDataset, target_dim="auto") -> ProjectionModel:
     d = output_dim(target_dim, dataset.class_count, D, n)
     mean, cov = covariance(X)
     values, vectors = _sorted_eigh(cov, d)
+    d = max(1, int((values[:d] > D * np.finfo(float).eps * values[0]).sum()))
     return ProjectionModel(
-        matrix=vectors,
+        matrix=vectors[:, :d],
         kind="pca",
         dim_in=D,
         dim_out=d,

@@ -208,6 +208,13 @@ def svm_predict(model: SvmModel, test):
     return np.argmax(scores, axis=0)
 
 
+def fit_predict(train, test, config: KnnConfig | SvmConfig):
+    """Labels of the test columns from the classifier that config names, fitted on the (features, labels) pair."""
+    if isinstance(config, KnnConfig):
+        return knn_predict(train, test, config)
+    return svm_predict(svm_fit(train, config), test)
+
+
 def video_majority_vote(frame_labels, frame_groups):
     """Most frequent frame label per group id; ties go to the earliest frame's label.
 
@@ -332,11 +339,7 @@ def cross_validate_actions(dataset: LabeledDataset, pipeline: PipelineConfig) ->
         test_X = dataset.features[:, test_idx]
         test_y = dataset.labels[test_idx]
         emb_train, emb_test = _embed_fold(train_X, train_y, test_X, K, pipeline)
-        if pipeline.classifier == "knn":
-            predicted = knn_predict((emb_train, train_y), emb_test, pipeline.knn)
-        else:
-            model = svm_fit((emb_train, train_y), pipeline.svm)
-            predicted = svm_predict(model, emb_test)
+        predicted = fit_predict((emb_train, train_y), emb_test, getattr(pipeline, pipeline.classifier))
         votes = video_majority_vote(predicted.tolist(), test_y.tolist())  # one video per class
         for k, vote in votes.items():
             counts[k, vote] += 1

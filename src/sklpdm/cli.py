@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Every run writes its primary output atomically and drops a
 `<output>.manifest.json` recording the command, flags (`synth`'s seed
 among them), paths, version, and wall-clock duration; replaying the
-manifest's flags reproduces the outputs byte-for-byte.
+manifest's flags reproduces the outputs byte-for-byte. The flags of each
+config (SKLP, diffusion, KNN, SVM) are spelled once, in `_FLAGS`, and
+default to the config's own defaults.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from .dataset import (
     gen_ring_classes,
     with_groups,
 )
+from .diffusion_map import DiffusionConfig
 from .errors import DataError, NumericalError
+from .sklp_projection import SklpConfig
 from ._util import atomic_write_text, save_float_rows_csv
 
 
@@ -59,21 +63,32 @@ def _auto_or_int(text):
     return int(text)
 
 
-def _add_sklp_flags(command):
-    """The SKLP hyperparameter flags, defaulting to SklpConfig()'s fields."""
-    default = sklp_projection.SklpConfig()
-    command.add_argument("--dim", type=_auto_or_int, default=default.target_dim)
-    command.add_argument("--rho", type=float, default=default.rho)
-    command.add_argument("--sigma", type=_auto_or_float, default=default.kernel_bandwidth)
-    command.add_argument("--tol", type=float, default=default.rel_tolerance)
-    command.add_argument("--max-iters", type=int, default=default.max_iters)
+# config type -> {flag: (config field, argparse type)}; each flag defaults to its field's default
+_FLAGS = {
+    SklpConfig: {"--dim": ("target_dim", _auto_or_int), "--rho": ("rho", float),
+                 "--sigma": ("kernel_bandwidth", _auto_or_float), "--tol": ("rel_tolerance", float),
+                 "--max-iters": ("max_iters", int)},
+    DiffusionConfig: {"--dim": ("embed_dim", int), "--sigma": ("bandwidth", _auto_or_float), "--time": ("time", int)},
+    classify_eval.KnnConfig: {"--k": ("k", int)},
+    classify_eval.SvmConfig: {"--reg": ("regularization", float)},
+}
+_CLASSIFIERS = {"knn": (classify_eval.KnnConfig, "k-nearest neighbours"),
+                "svm": (classify_eval.SvmConfig, "one-vs-rest linear SVM")}
 
 
-def _add_classifier_flags(knn_command, svm_command):
-    """--k on knn_command and --reg on svm_command, defaulting to KnnConfig()'s and SvmConfig()'s."""
-    knn, svm = classify_eval.KnnConfig(), classify_eval.SvmConfig()
-    knn_command.add_argument("--k", type=int, default=knn.k)
-    svm_command.add_argument("--reg", type=float, default=svm.regularization)
+def _add_flags(leaf, config_type, *only):
+    """Add config_type's flags (or only those named) to a parser leaf, each defaulting to its field's default."""
+    default = config_type()
+    for flag, (name, type_) in _FLAGS[config_type].items():
+        if not only or flag in only:
+            leaf.add_argument(flag, type=type_, default=getattr(default, name))
+
+
+def _config(config_type, args):
+    """A config_type built from the parsed values of those of its flags that args' leaf takes; other fields default."""
+    given = vars(args)
+    return config_type(**{name: given[dest] for flag, (name, _) in _FLAGS[config_type].items()
+                          if (dest := flag[2:].replace("-", "_")) in given})
 
 
 def _build_parser():
@@ -110,10 +125,9 @@ def _build_parser():
     radon_cmd.add_argument("--out", required=True)
 
     kinds = sub.add_parser("fit", help="fit a projection model").add_subparsers(dest="kind", required=True)
-    _add_sklp_flags(kinds.add_parser("sklp", help="supervised kernel locality-preserving projection"))
+    _add_flags(kinds.add_parser("sklp", help="supervised kernel locality-preserving projection"), SklpConfig)
     for kind in ("pca", "lda"):
-        kinds.add_parser(kind, help=f"{kind.upper()} baseline").add_argument(
-            "--dim", type=_auto_or_int, default="auto")
+        _add_flags(kinds.add_parser(kind, help=f"{kind.upper()} baseline"), SklpConfig, "--dim")
     for kind in kinds.choices.values():
         kind.add_argument("--data", required=True)
         kind.add_argument("--out", required=True)
@@ -123,23 +137,20 @@ def _build_parser():
     project_cmd.add_argument("--data", required=True)
     project_cmd.add_argument("--out", required=True)
 
-    dm = diffusion_map.DiffusionConfig()
     diffuse = sub.add_parser("diffuse", help="diffusion embedding of a dataset")
     diffuse.add_argument("--data", required=True)
-    diffuse.add_argument("--dim", type=int, default=dm.embed_dim)
-    diffuse.add_argument("--sigma", type=_auto_or_float, default=dm.bandwidth)
-    diffuse.add_argument("--time", type=int, default=dm.time)
+    _add_flags(diffuse, DiffusionConfig)
     diffuse.add_argument("--out", required=True, help="embedding CSV; model JSON lands at <out>.model.json")
 
     methods = sub.add_parser("classify", help="train on one CSV, evaluate on another").add_subparsers(
         dest="method", required=True)
-    _add_classifier_flags(methods.add_parser("knn", help="k-nearest neighbours"),
-                          methods.add_parser("svm", help="one-vs-rest linear SVM"))
-    for method in methods.choices.values():
-        method.add_argument("--train", required=True)
-        method.add_argument("--test", required=True)
-        method.add_argument("--vote-by-group", action="store_true")
-        method.add_argument("--report", required=True)
+    for method, (config_type, text) in _CLASSIFIERS.items():
+        leaf = methods.add_parser(method, help=text)
+        _add_flags(leaf, config_type)
+        leaf.add_argument("--train", required=True)
+        leaf.add_argument("--test", required=True)
+        leaf.add_argument("--vote-by-group", action="store_true")
+        leaf.add_argument("--report", required=True)
 
     arms = sub.add_parser(
         "evaluate", help="leave-one-group-out evaluation of one reduction arm and classifier"
@@ -149,26 +160,25 @@ def _build_parser():
     for reduction in classify_eval.PIPELINES:
         classifiers = arms.add_parser(reduction, help=arm_help[reduction]).add_subparsers(
             dest="classifier", required=True)
-        knn = classifiers.add_parser("knn", help="k-nearest neighbours")
-        svm = classifiers.add_parser("svm", help="one-vs-rest linear SVM")
-        _add_classifier_flags(knn, svm)
-        for leaf in (knn, svm):
+        for method, (config_type, text) in _CLASSIFIERS.items():
+            leaf = classifiers.add_parser(method, help=text)
+            _add_flags(leaf, config_type)
             leaf.add_argument("--data", required=True)
             if reduction in ("pca", "lda"):
-                leaf.add_argument("--dim", type=_auto_or_int, default="auto")
+                _add_flags(leaf, SklpConfig, "--dim")
             if reduction == "sklp+dm":
-                _add_sklp_flags(leaf)
+                _add_flags(leaf, SklpConfig)
             if reduction in ("dm", "sklp+dm"):
                 leaf.add_argument("--dm-dim", type=int, default=0,
                                   help="0 = the projection dimension (K - 1, capped, for dm)")
-                leaf.add_argument("--dm-sigma", type=_auto_or_float, default=dm.bandwidth)
-                leaf.add_argument("--time", type=int, default=dm.time)
+                leaf.add_argument("--dm-sigma", type=_auto_or_float, default=DiffusionConfig.bandwidth)
+                leaf.add_argument("--time", type=int, default=DiffusionConfig.time)
             leaf.add_argument("--report", required=True)
             leaf.add_argument("--confusion", required=True)
 
     trace = sub.add_parser("trace", help="per-iteration objective trace of a projection fit")
     trace.add_argument("--data", required=True)
-    _add_sklp_flags(trace)
+    _add_flags(trace, SklpConfig)
     trace.add_argument("--out", required=True)
     return parser
 
@@ -187,16 +197,6 @@ def _write_manifest(args, inputs, outputs, started):
         "duration_s": time.monotonic() - started,
     }
     atomic_write_text(outputs[0] + ".manifest.json", json.dumps(manifest, indent=1) + "\n")
-
-
-def _sklp_config_from(args):
-    return sklp_projection.SklpConfig(
-        rho=args.rho,
-        kernel_bandwidth=args.sigma,
-        target_dim=args.dim,
-        max_iters=args.max_iters,
-        rel_tolerance=args.tol,
-    )
 
 
 def _cmd_synth(args):
@@ -265,7 +265,7 @@ def _cmd_radon(args):
 def _cmd_fit(args):
     data = load_csv(args.data)
     if args.kind == "sklp":
-        model, _ = sklp_projection.fit(data, _sklp_config_from(args))
+        model, _ = sklp_projection.fit(data, _config(SklpConfig, args))
     else:
         model = baselines.pca_fit(data, args.dim) if args.kind == "pca" else baselines.lda_fit(data, args.dim)
     sklp_projection.save_model(model, args.out)
@@ -282,8 +282,7 @@ def _cmd_project(args):
 
 def _cmd_diffuse(args):
     data = load_csv(args.data)
-    config = diffusion_map.DiffusionConfig(bandwidth=args.sigma, embed_dim=args.dim, time=args.time)
-    model = diffusion_map.fit(data.features, config)
+    model = diffusion_map.fit(data.features, _config(DiffusionConfig, args))
     labels = [data.label_names[y] for y in data.labels]
     diffusion_map.save_embedding_csv(args.out, model.embedding, labels)
     model_path = args.out + ".model.json"
@@ -325,13 +324,8 @@ def _cmd_classify(args):
         if name not in name_to_id:
             raise DataError(f"test label {name!r} never appears in the training data")
     test_y = np.array([name_to_id[test.label_names[y]] for y in test.labels], dtype=np.int64)
-    if args.method == "knn":
-        config = classify_eval.KnnConfig(k=args.k)
-        predicted = classify_eval.knn_predict((train.features, train.labels), test.features, config)
-    else:
-        config = classify_eval.SvmConfig(regularization=args.reg)
-        model = classify_eval.svm_fit((train.features, train.labels), config)
-        predicted = classify_eval.svm_predict(model, test.features)
+    config = _config(_CLASSIFIERS[args.method][0], args)
+    predicted = classify_eval.fit_predict((train.features, train.labels), test.features, config)
     matrix = classify_eval.confusion(test_y, predicted, train.class_count, train.label_names)
     extra = []
     if args.vote_by_group:
@@ -355,22 +349,15 @@ def _cmd_classify(args):
 
 def _cmd_evaluate(args):
     data = load_csv(args.data)
-    configs = {}  # only the configs this arm reads; the others keep their unread defaults
-    if args.pipeline in ("pca", "lda"):
-        configs["sklp"] = sklp_projection.SklpConfig(target_dim=args.dim)
-    else:
-        if args.pipeline == "sklp+dm":
-            configs["sklp"] = _sklp_config_from(args)
+    # only the configs this arm reads (pca and lda take only --dim); the others keep their unread defaults
+    configs = {args.classifier: _config(_CLASSIFIERS[args.classifier][0], args)}
+    if args.pipeline != "dm":
+        configs["sklp"] = _config(SklpConfig, args)
+    if args.pipeline in ("dm", "sklp+dm"):
         # --dm-dim 0 follows the projection dimension; the dm arm projects to K - 1, capped
         target_dim = args.dim if args.pipeline == "sklp+dm" else "auto"
-        dm_dim = args.dm_dim or sklp_projection.output_dim(
-            target_dim, data.class_count, data.dim, data.sample_count)
-        configs["diffusion"] = diffusion_map.DiffusionConfig(
-            bandwidth=args.dm_sigma, embed_dim=dm_dim, time=args.time)
-    if args.classifier == "knn":
-        configs["knn"] = classify_eval.KnnConfig(k=args.k)
-    else:
-        configs["svm"] = classify_eval.SvmConfig(regularization=args.reg)
+        dm_dim = args.dm_dim or sklp_projection.output_dim(target_dim, data.class_count, data.dim, data.sample_count)
+        configs["diffusion"] = DiffusionConfig(bandwidth=args.dm_sigma, embed_dim=dm_dim, time=args.time)
     pipeline = classify_eval.PipelineConfig(reduction=args.pipeline, classifier=args.classifier, **configs)
     result = classify_eval.cross_validate_actions(data, pipeline)
     text = _report_text(
@@ -387,7 +374,7 @@ def _cmd_evaluate(args):
 
 def _cmd_trace(args):
     data = load_csv(args.data)
-    _, state = sklp_projection.fit(data, _sklp_config_from(args))
+    _, state = sklp_projection.fit(data, _config(SklpConfig, args))
     history = np.array(state.objective_history)[:, None]
     increments = ["", *map(repr, state.predicted_increments)]  # iteration 0 predicts nothing
     save_float_rows_csv(args.out, ["iteration", "objective", "predicted_increment"], history,

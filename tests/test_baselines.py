@@ -11,6 +11,7 @@ from sklpdm import (
     LabeledDataset,
     NumericalError,
     PipelineConfig,
+    SklpConfig,
     cross_validate_actions,
     diffusion_map,
     fit,
@@ -37,11 +38,26 @@ def unlabeled(X):
 
 class TestPca:
     def test_axis_aligned_data(self):
+        # the zero-variance second direction is dropped; the top one is kept even when nothing varies
         X = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
         model = pca_fit(unlabeled(X), 2)
+        assert model.dim_out == 1 and model.matrix.shape == (2, 1)
         np.testing.assert_allclose(np.abs(model.matrix[:, 0]), [1.0, 0.0], atol=1e-12)
         assert model.matrix[0, 0] > 0  # sign convention
-        assert model.eigenvalues[1] == pytest.approx(0.0, abs=1e-12)
+        assert model.eigenvalues.tolist() == [pytest.approx(5.0 / 3.0)]
+        assert pca_fit(unlabeled(np.ones((2, 4))), 2).dim_out == 1
+
+    def test_keeps_no_rounding_noise_directions(self):
+        """Noise-free rings span a 2-plane. With a constant feature added, the covariance's other eigenvalues (5.7e-16
+        and 0 beside 6.37 and 4.65) are rounding noise, which the SVM would standardise to unit scale."""
+        rings = gen_ring_classes(5, 30, 0.0, 6, 0)
+        X = np.vstack([rings.features, np.full((1, rings.sample_count), 3.0)])
+        data = LabeledDataset(features=X, labels=rings.labels, class_count=5)
+        assert pca_fit(data).dim_out == 2
+        results = [cross_validate_actions(with_groups(data, 3), PipelineConfig(
+            reduction="pca", classifier="svm", sklp=SklpConfig(target_dim=dim))) for dim in ("auto", 2)]
+        assert results[0].confusion.counts.tolist() == results[1].confusion.counts.tolist()
+        assert results[0].fold_accuracies == results[1].fold_accuracies
 
     def test_isotropic_contract(self):
         rng = np.random.default_rng(0)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sklpdm import (DiffusionConfig, KnnConfig, SklpConfig, SvmConfig, lda_fit, load_csv, load_model, pca_fit,
+from sklpdm import (DiffusionConfig, KnnConfig, SklpConfig, SvmConfig, fit, lda_fit, load_csv, load_model, pca_fit,
                     save_csv, sequence_features)
 from sklpdm.cli import _auto_or_float, _build_parser, run
 
@@ -821,6 +821,95 @@ def test_classifier_flag_defaults_match_config():
         assert set(flags) == evaluate_io | set(expected), method
         assert {key: flags[key] for key in expected} == expected, method
     assert "seed" not in flags  # svm training consumes no randomness
+
+
+# (flag, non-default value, the config field it sets, the value that field must then hold)
+SKLP_SET = [("--dim", "2", "target_dim", 2), ("--rho", "0.6", "rho", 0.6), ("--sigma", "2.5", "kernel_bandwidth", 2.5),
+            ("--tol", "1e-4", "rel_tolerance", 1e-4), ("--max-iters", "7", "max_iters", 7)]
+DIFFUSE_SET = [("--dim", "3", "embed_dim", 3), ("--sigma", "1.5", "bandwidth", 1.5), ("--time", "3", "time", 3)]
+DM_SET = [("--dm-dim", "1", "embed_dim", 1), ("--dm-sigma", "1.5", "bandwidth", 1.5), ("--time", "3", "time", 3)]
+CLASSIFIER_SETS = {"knn": (KnnConfig, [("--k", "3", "k", 3)]),
+                   "svm": (SvmConfig, [("--reg", "0.05", "regularization", 0.05)])}
+
+
+def set_flags(settings):
+    return [text for flag, value, _, _ in settings for text in (flag, value)]
+
+
+def set_fields(settings, config_class):
+    """field -> value of the settings, each checked to differ from config_class's default."""
+    fields = {name: value for _, _, name, value in settings}
+    assert all(getattr(config_class(), name) != value for name, value in fields.items())
+    return fields
+
+
+def assert_same_json(actual, expected):
+    """Equal as JSON text, so that 3 and 3.0 differ."""
+    assert json.dumps(actual, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def assert_manifest_parsed(output, settings):
+    """The manifest next to output records each flag's value parsed to the setting's type."""
+    flags = json.loads(Path(f"{output}.manifest.json").read_text())["flags"]
+    dests = {flag[2:].replace("-", "_"): value for flag, _, _, value in settings}
+    assert_same_json({dest: flags[dest] for dest in dests}, dests)
+
+
+def test_non_default_flags_reach_the_model_config(tmp_path, gaussian_csv):
+    model = tmp_path / "m.json"
+    assert invoke("fit", "sklp", "--data", str(gaussian_csv), *set_flags(SKLP_SET), "--out", str(model)) == 0
+    assert_same_json(json.loads(model.read_text())["config"], set_fields(SKLP_SET, SklpConfig))
+    assert_manifest_parsed(model, SKLP_SET)
+    out = tmp_path / "e.csv"
+    assert invoke("diffuse", "--data", str(gaussian_csv), *set_flags(DIFFUSE_SET), "--out", str(out)) == 0
+    payload = json.loads((tmp_path / "e.csv.model.json").read_text())
+    assert_same_json({name: payload[name] for name in ("embed_dim", "bandwidth", "time")},
+                     set_fields(DIFFUSE_SET, DiffusionConfig))
+    assert_manifest_parsed(out, DIFFUSE_SET)
+
+
+def test_non_default_sklp_flags_reach_the_trace(tmp_path, gaussian_csv):
+    out = tmp_path / "t.csv"
+    assert invoke("trace", "--data", str(gaussian_csv), *set_flags(SKLP_SET), "--out", str(out)) == 0
+    objectives = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    data = load_csv(gaussian_csv)
+    _, state = fit(data, SklpConfig(**set_fields(SKLP_SET, SklpConfig)))
+    assert objectives == [float(j) for j in state.objective_history]
+    assert objectives != [float(j) for j in fit(data, SklpConfig())[1].objective_history]
+    assert_manifest_parsed(out, SKLP_SET)
+
+
+@pytest.mark.parametrize("method", ["knn", "svm"])
+def test_non_default_classifier_flags_reach_the_classify_echo(tmp_path, gaussian_csv, method):
+    config_class, settings = CLASSIFIER_SETS[method]
+    report = tmp_path / "r.txt"
+    assert invoke("classify", method, "--train", str(gaussian_csv), "--test", str(gaussian_csv),
+                  *set_flags(settings), "--report", str(report)) == 0
+    echo = json.loads(report.read_text().splitlines()[-1].removeprefix("configuration: "))
+    assert_same_json(echo, {"method": method, **set_fields(settings, config_class)})
+    assert_manifest_parsed(report, settings)
+
+
+@pytest.mark.parametrize("arm", ["pca", "lda", "dm", "sklp+dm"])
+@pytest.mark.parametrize("method", ["knn", "svm"])
+def test_non_default_flags_reach_the_evaluate_echo(tmp_path, arm, method):
+    data = tmp_path / "rings.csv"
+    assert invoke("synth", "rings", "--classes", "3", "--per-class", "12", "--dim", "4", "--noise", "0.2",
+                  "--seed", "2", "--groups", "3", "--out", str(data)) == 0
+    sklp_settings = {"pca": SKLP_SET[:1], "lda": SKLP_SET[:1], "dm": [], "sklp+dm": SKLP_SET}[arm]  # --dim alone
+    dm_settings = DM_SET if arm in ("dm", "sklp+dm") else []
+    config_class, settings = CLASSIFIER_SETS[method]
+    report = tmp_path / "r.txt"
+    assert invoke("evaluate", arm, method, "--data", str(data), *set_flags(sklp_settings + dm_settings + settings),
+                  "--report", str(report), "--confusion", str(tmp_path / "c.csv")) == 0
+    echo = json.loads(report.read_text().splitlines()[-1].removeprefix("configuration: "))
+    expected = {"reduction": arm, "classifier": method, method: set_fields(settings, config_class)}
+    if sklp_settings:
+        expected["sklp"] = set_fields(sklp_settings, SklpConfig)
+    if dm_settings:
+        expected["diffusion"] = set_fields(dm_settings, DiffusionConfig)
+    assert_same_json(echo, expected)
+    assert_manifest_parsed(report, sklp_settings + dm_settings + settings)
 
 
 def test_synth_flags_per_shape():

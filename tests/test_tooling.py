@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import sklpdm
+import sklpdm.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -105,6 +106,11 @@ def test_public_names_are_their_defining_modules_objects():
     assert rebound == []
 
 
+def test_cli_binds_load_csv_by_name():
+    """The benchmark's uninstall check looks for the tracer's wrapper under the name `sklpdm.cli.load_csv`."""
+    assert sklpdm.cli.load_csv is sklpdm.dataset.load_csv
+
+
 def test_compare_outputs_flags_each_breach():
     deviations = load_module("compare_outputs", COMPARE).deviations
     fit = {"iteration": 3, "best_index": 2, "objective_history": [1.0, 2.0, 3.0, 2.5], "matrix": [[1.0], [0.0]]}
@@ -171,11 +177,11 @@ def test_compare_outputs_accepts_a_tree_against_itself():
     src = Path(sklpdm.__file__).resolve().parents[1]
     code, verdicts, output = run_compare(src, src)
     assert code == 0, output
-    assert "BREACH" not in output and "37/37 cases within the contract" in output
+    assert "BREACH" not in output and "38/38 cases within the contract" in output
     assert len([name for name in verdicts if name.startswith("diffusion")]) == 9
     assert len([name for name in verdicts if name.startswith("cli fit")]) == 4
     assert re.findall(r"^ok +(cli process .+): bit-identical$", output, re.M) == [
-        "cli process radon, classify svm, diffuse"]
+        "cli process radon, classify svm|knn, diffuse", "cli process synth rings, evaluate pca svm|sklp+dm knn"]
     assert re.findall(r"^ok +(read .+): bit-identical$", output, re.M) == ["read load_csv", "read sequence_features"]
     assert f"\nok     namespace: {len(sklpdm.__all__)} names, equal\n" in output, output
     assert len(re.findall(r"^ok +diffusion ring fold n=250(?:, columns permuted)?: .*"
@@ -199,10 +205,10 @@ def test_compare_outputs_flags_a_nudged_diffusion_kernel(tmp_path):
         )
     code, verdicts, output = run_compare(src, tmp_path)
     diffusion = [name for name in verdicts if name.startswith("diffusion")]
-    assert len(verdicts) == 37 and len(diffusion) == 9, output
+    assert len(verdicts) == 38 and len(diffusion) == 9, output
     assert [name for name, status in verdicts.items() if status == "BREACH"] == diffusion + [
-        "cli process radon, classify svm, diffuse"]
-    assert re.search(r"^BREACH cli process radon, classify svm, diffuse: differ in embedding.csv, "
+        "cli process radon, classify svm|knn, diffuse"]
+    assert re.search(r"^BREACH cli process radon, classify svm\|knn, diffuse: differ in embedding.csv, "
                      r"embedding.csv.model.json$", output, re.M), output
     assert code == 1
 
@@ -217,12 +223,12 @@ def test_compare_outputs_reports_each_case_when_one_raises(tmp_path):
     with open(tmp_path / "sklpdm" / "classify_eval.py", "a", encoding="utf-8") as handle:
         handle.write('\nPIPELINES = ("pca", "lda", "sklp+dm")\n')
     code, verdicts, output = run_compare(src, tmp_path)
-    assert code == 1 and len(verdicts) == 37, output
+    assert code == 1 and len(verdicts) == 38, output
     assert [name for name, status in verdicts.items() if status == "BREACH"] == [
-        "cli process radon, classify svm, diffuse", "read sequence_features", "cv dm knn", "cv dm svm"], output
-    assert re.search(r"^BREACH cli process radon, classify svm, diffuse: new tree raised RuntimeError\('sklpdm radon "
+        "cli process radon, classify svm|knn, diffuse", "read sequence_features", "cv dm knn", "cv dm svm"], output
+    assert re.search(r"^BREACH cli process radon, classify svm\|knn, diffuse: new tree raised RuntimeError\('sklpdm radon "
                      r"exited 2: data error: no frames today'\)$", output, re.M), output
     assert re.search(r"^BREACH read sequence_features: new tree raised DataError\('no frames today'\)$", output, re.M)
     assert re.search(r"^BREACH cv dm knn: new tree has no such case$", output, re.M)
-    assert "33/37 cases within the contract" in output
+    assert "34/38 cases within the contract" in output
 

@@ -5,8 +5,9 @@
 OLD_SRC and NEW_SRC are directories that hold an `sklpdm` package (a
 checkout's `src`). The tool runs a fixed set of SKLP fits, diffusion fits
 with their Nystrom extensions, `fit pca` and `fit lda` through the tree's
-`sklpdm.cli.run`, one chain of `python -m sklpdm` processes (`radon`,
-`classify svm --vote-by-group`, `diffuse`), two read paths (`load_csv`
+`sklpdm.cli.run`, two chains of `python -m sklpdm` processes (`radon`,
+`classify svm|knn --vote-by-group` and `diffuse` on PGM frames; `synth
+rings`, `evaluate pca svm` and `evaluate sklp+dm knn`), two read paths (`load_csv`
 on a plain and on a quoted-label file, `sequence_features` on P2 and P5
 frames with header comments), all 8 cross-validation pipelines
 (4 reductions x KNN/SVM) and the package's `__all__` (the `namespace`
@@ -23,7 +24,7 @@ if any case breaches the contract that the README states under
   - diffusion fits: eigenvalues, embedding and extended held-out points
     within 1e-10 entrywise;
   - `fit pca|lda` models: matrix and eigenvalues within 1e-10 entrywise;
-  - read paths and the process chain: every value, and every byte the
+  - read paths and the process chains: every value, and every byte a
     chain wrote, bit for bit (manifests without `duration_s`);
   - cross-validation: equal confusion counts and fold accuracies;
   - namespace: the same public names in the same order.
@@ -120,26 +121,25 @@ def cli_fit_cases():
 
 
 def cli_process_cases(sklpdm):
-    """name -> function returning {"exact": files} of a `python -m sklpdm` chain on the PGM frames: radon,
-    `classify svm --vote-by-group` and diffuse, each in its own process of the given package's tree. files
-    maps every file the chain wrote to its text, or for a manifest to its JSON without `duration_s`."""
+    """name -> function returning {"exact": files} of a chain of `python -m sklpdm` processes of the given package's
+    tree: on the PGM frames, radon, `classify svm|knn --vote-by-group` and diffuse; on a grouped `synth rings` set,
+    `evaluate pca svm` and `evaluate sklp+dm knn --rho 0.6`. files maps every file the chain wrote to its text, or
+    for a manifest to its JSON without `duration_s`."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(sklpdm.__file__))))
 
-    def chain():
+    def write_frame_manifests(tmp):
+        frames = [(os.path.basename(path), ("walk", "run")[f % 2]) for f, path in enumerate(pgm_frames(tmp))]
+        for split, order in (("train", frames), ("test", frames[::-1])):
+            rows = "".join(f"{name},{label},{split}{i // 2}\n" for i, (name, label) in enumerate(order))
+            with open(os.path.join(tmp, f"{split}.txt"), "w", encoding="utf-8") as handle:
+                handle.write("path,label,group\n" + rows)
+
+    def chain(steps, setup=None):
         with tempfile.TemporaryDirectory() as tmp:
-            frames = [(os.path.basename(path), ("walk", "run")[f % 2]) for f, path in enumerate(pgm_frames(tmp))]
-            for split, order in (("train", frames), ("test", frames[::-1])):
-                rows = "".join(f"{name},{label},{split}{i // 2}\n" for i, (name, label) in enumerate(order))
-                with open(os.path.join(tmp, f"{split}.txt"), "w", encoding="utf-8") as handle:
-                    handle.write("path,label,group\n" + rows)
+            if setup is not None:
+                setup(tmp)
             inputs = set(os.listdir(tmp))
-            for argv in (
-                ["radon", "--manifest", "train.txt", "--angles", "36", "--out", "train.csv"],
-                ["radon", "--manifest", "test.txt", "--angles", "36", "--out", "test.csv"],
-                ["classify", "svm", "--train", "train.csv", "--test", "test.csv", "--vote-by-group",
-                 "--report", "svm.txt"],
-                ["diffuse", "--data", "train.csv", "--dim", "2", "--out", "embedding.csv"],
-            ):
+            for argv in steps:
                 proc = subprocess.run([sys.executable, "-m", "sklpdm", *argv], cwd=tmp, env=env, capture_output=True,
                                       text=True)
                 if proc.returncode != 0:
@@ -153,7 +153,22 @@ def cli_process_cases(sklpdm):
                     del files[name]["duration_s"]
         return {"exact": files}
 
-    return {"cli process radon, classify svm, diffuse": chain}
+    frames = [
+        ["radon", "--manifest", "train.txt", "--angles", "36", "--out", "train.csv"],
+        ["radon", "--manifest", "test.txt", "--angles", "36", "--out", "test.csv"],
+        *(["classify", method, "--train", "train.csv", "--test", "test.csv", "--vote-by-group",
+           "--report", f"{method}.txt"] for method in ("svm", "knn")),
+        ["diffuse", "--data", "train.csv", "--dim", "2", "--out", "embedding.csv"],
+    ]
+    rings = [
+        ["synth", "rings", "--classes", "3", "--per-class", "24", "--dim", "6", "--noise", "0.3", "--seed", "2",
+         "--groups", "4", "--out", "rings.csv"],
+        ["evaluate", "pca", "svm", "--data", "rings.csv", "--report", "pca-svm.txt", "--confusion", "pca-svm.csv"],
+        ["evaluate", "sklp+dm", "knn", "--data", "rings.csv", "--rho", "0.6", "--report", "sklp-dm-knn.txt",
+         "--confusion", "sklp-dm-knn.csv"],
+    ]
+    return {"cli process radon, classify svm|knn, diffuse": functools.partial(chain, frames, write_frame_manifests),
+            "cli process synth rings, evaluate pca svm|sklp+dm knn": functools.partial(chain, rings)}
 
 
 PLAIN_CSV = """label,f0,f1,group
